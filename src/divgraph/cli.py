@@ -1,8 +1,13 @@
 """Command-line interface.
 
-Subcommands: invariants, sequence, graph, compare, conjectures.  Budgets
-default from the environment (DIVGRAPH_NODE_BUDGET, DIVGRAPH_OMEGA_BUDGET)
-and can be overridden per invocation.  All numeric output is full decimal.
+Subcommands: invariants, sequence, graph, compare, conjectures.  Each
+budget comes from its flag, else from the environment (DIVGRAPH_NODE_BUDGET,
+DIVGRAPH_OMEGA_BUDGET), else from the library default.  All numeric output
+is full decimal.
+
+Exit codes: 0 success; 1 an error (bad input, budget exceeded) or, for
+compare, a value mismatch; 2 a command-line usage error or, for compare, an
+input it cannot compare against; 3 a conjecture counterexample was found.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional, Sequence
 
 from divgraph import conjectures as conj
 from divgraph import graphs, invariants, sequences
-from divgraph.errors import BFileFormatError, BudgetError
+from divgraph.errors import BudgetError
 from divgraph.kernels import active_backend
 from divgraph.signatures import (
     INT_BOUND,
@@ -44,7 +49,10 @@ _RECORD_KEYS = [
 ]
 
 
-def _env_int(name: str, default: int) -> int:
+def _budget(flag: Optional[int], name: str, default: int) -> int:
+    """The flag value if given, else the environment variable, else default."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -78,9 +86,10 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     bounds, n = _resolve_target(args)
-    record = invariants.all_invariants(
-        bounds, omega_budget=_env_int("DIVGRAPH_OMEGA_BUDGET", args.omega_budget)
+    omega_budget = _budget(
+        args.omega_budget, "DIVGRAPH_OMEGA_BUDGET", invariants.DEFAULT_OMEGA_BUDGET
     )
+    record = invariants.all_invariants(bounds, omega_budget=omega_budget)
     values = dict(zip([k for k, _ in _RECORD_KEYS], record.as_tuple()))
     extras: dict[str, object] = {"height": record.big_omega}
     if n is not None:
@@ -108,21 +117,21 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     bounds, _ = _resolve_target(args)
     kind = graphs.GraphKind(args.kind)
-    g = graphs.build_graph(
-        bounds, kind, node_budget=_env_int("DIVGRAPH_NODE_BUDGET", args.node_budget)
-    )
+    node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
+    g = graphs.build_graph(bounds, kind, node_budget=node_budget)
     text = graphs.to_dot(g) if args.format == "dot" else graphs.to_json(g) + "\n"
     _write_out(text, args.out)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    table = sequences.generate(args.inv, sequences.Ordering(args.order), args.count)
+    # exit 1 is reserved for a value mismatch; every failure to compare is 2
     try:
+        table = sequences.generate(args.inv, sequences.Ordering(args.order), args.count)
         with open(args.bfile, "rb") as fh:
             reference = fh.read()
         report = sequences.compare_bfile(table, reference)
-    except (OSError, BFileFormatError) as exc:
+    except (OSError, ValueError, BudgetError) as exc:  # BFileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_out(json.dumps(report.to_dict()) + "\n", args.out)
@@ -156,13 +165,8 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         scope = f"first {args.colex_count} graded-colex signatures"
     else:
         raise ValueError(f"unknown conjecture id {args.id}")
-    report = conj.scan(
-        args.id,
-        sigs,
-        modes=modes,
-        node_budget=_env_int("DIVGRAPH_NODE_BUDGET", args.node_budget),
-        scope=scope,
-    )
+    node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
+    report = conj.scan(args.id, sigs, modes=modes, node_budget=node_budget, scope=scope)
     _write_out(report.to_json() + "\n", args.out)
     return 0 if report.ok else 3
 
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="all fourteen invariants of one n or signature")
     _add_target_flags(p_inv)
     p_inv.add_argument("--format", choices=["text", "json"], default="text")
-    p_inv.add_argument("--omega-budget", type=int, default=invariants.DEFAULT_OMEGA_BUDGET)
+    p_inv.add_argument("--omega-budget", type=int, default=None)
     p_inv.add_argument("--out", type=str, default=None)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -196,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_flags(p_graph)
     p_graph.add_argument("--kind", choices=[k.value for k in graphs.GraphKind], default="hasse")
     p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
-    p_graph.add_argument("--node-budget", type=int, default=graphs.DEFAULT_NODE_BUDGET)
+    p_graph.add_argument("--node-budget", type=int, default=None)
     p_graph.add_argument("--out", type=str, default=None)
     p_graph.set_defaults(func=cmd_graph)
 
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--max-omega", type=int, default=8)
     p_conj.add_argument("--max-n", type=int, default=100_000)
     p_conj.add_argument("--colex-count", type=int, default=200)
-    p_conj.add_argument("--node-budget", type=int, default=graphs.DEFAULT_NODE_BUDGET)
+    p_conj.add_argument("--node-budget", type=int, default=None)
     p_conj.add_argument("--out", type=str, default=None)
     p_conj.set_defaults(func=cmd_conjectures)
 

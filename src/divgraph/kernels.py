@@ -1,33 +1,14 @@
-"""Kernel backend selection.
+"""Graph-construction kernels, as callers import them.
 
-Prefers the compiled extension (divgraph._kernels_c, built from Cython);
-falls back to the pure-Python reference when the extension is missing or
-DIVGRAPH_PURE is set in the environment.
+The implementations live in divgraph._kernels_py; this module re-exports
+them and names the kernel lane.
 """
 
-from __future__ import annotations
+from divgraph._kernels_py import closure_arcs, enumerate_nodes, hasse_arcs
 
-import os
-
-from divgraph import _kernels_py
-
-if os.environ.get("DIVGRAPH_PURE"):
-    _impl = _kernels_py
-    BACKEND = "pure"
-else:
-    try:
-        from divgraph import _kernels_c as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "pure"
-
-enumerate_nodes = _impl.enumerate_nodes
-closure_arcs = _impl.closure_arcs
-hasse_arcs = _impl.hasse_arcs
+__all__ = ["active_backend", "closure_arcs", "enumerate_nodes", "hasse_arcs"]
 
 
 def active_backend() -> str:
-    """Name of the kernel lane in use: "compiled" or "pure"."""
-    return BACKEND
+    """Name of the kernel lane in use; there is one, "pure"."""
+    return "pure"

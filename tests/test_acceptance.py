@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Every comparison is exact; the runtime limits assume
-the compiled kernels (pure-lane runs are expected to be slower than the
-criterion-5 budget).
+lines and timings.  Every comparison is exact, and every criterion must
+finish within its stated time budget.
 """
 
 import json

@@ -57,6 +57,15 @@ class TestInvariants:
             main(["invariants", "--n", "12", "--sig", "2.1"])
         assert excinfo.value.code == 2
 
+    def test_omega_budget_flag_beats_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVGRAPH_OMEGA_BUDGET", "3")
+        code, out, _ = run(capsys, "invariants", "--sig", "2.3", "--omega-budget", "40")
+        assert code == 0
+        assert "PT = 76" in out
+        code, _, err = run(capsys, "invariants", "--sig", "2.3")
+        assert code == 1
+        assert "budget" in err
+
     def test_out_of_range_n(self, capsys):
         code, _, err = run(capsys, "invariants", "--n", "0")
         assert code == 1
@@ -140,6 +149,18 @@ class TestGraph:
         assert code == 1
         assert "budget" in err
 
+    def test_budget_flag_beats_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVGRAPH_NODE_BUDGET", "3")
+        code, out, _ = run(capsys, "graph", "--sig", "2.1", "--node-budget", "1000")
+        assert code == 0
+        assert out.count("[label=") == 6
+
+    def test_budget_environment_beats_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVGRAPH_NODE_BUDGET", "3")
+        code, _, err = run(capsys, "graph", "--sig", "2.1")
+        assert code == 1
+        assert "budget 3" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.dot"
         code, out, _ = run(capsys, "graph", "--n", "6", "--out", str(target))
@@ -190,6 +211,14 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--inv", "V", "--bfile", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_unknown_invariant_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "compare", "--inv", "XYZ", "--bfile", str(DATA / "b000005.txt"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown invariant" in err
 
 
 class TestConjectures:
