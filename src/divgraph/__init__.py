@@ -9,7 +9,7 @@ The package covers four layers:
 - invariants + oracle: fourteen graph invariants by closed formula and by
   brute-force measurement on the explicit graphs;
 - sequences + conjectures + cli: integer-sequence tables in three orders,
-  b-file interchange, and counterexample scans for three open questions.
+  b-file interchange, and counterexample scans for three conjectures.
 """
 
 from divgraph.graphs import DivisorGraph, GraphKind, build_graph, divisor_value, level_profile

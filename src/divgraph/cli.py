@@ -23,30 +23,12 @@ from divgraph import graphs, invariants, sequences
 from divgraph.errors import BudgetError
 from divgraph.kernels import active_backend
 from divgraph.signatures import (
-    INT_BOUND,
     factorize,
     least_integer,
     parse_signature_key,
     signature_key,
     signature_of,
 )
-
-_RECORD_KEYS = [
-    ("V", "order"),
-    ("EH", "hasse_size"),
-    ("Omega", "big_omega"),
-    ("omega", "small_omega"),
-    ("Wv", "width_nodes"),
-    ("We", "width_arcs"),
-    ("Delta", "degree"),
-    ("PH", "hasse_paths"),
-    ("VE", "v_even"),
-    ("VO", "v_odd"),
-    ("EE", "e_even"),
-    ("EO", "e_odd"),
-    ("ET", "closure_size"),
-    ("PT", "closure_paths"),
-]
 
 
 def _budget(flag: Optional[int], name: str, default: int) -> int:
@@ -90,7 +72,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         args.omega_budget, "DIVGRAPH_OMEGA_BUDGET", invariants.DEFAULT_OMEGA_BUDGET
     )
     record = invariants.all_invariants(bounds, omega_budget=omega_budget)
-    values = dict(zip([k for k, _ in _RECORD_KEYS], record.as_tuple()))
+    values = dict(zip(invariants.FUNCS, record.as_tuple()))
     extras: dict[str, object] = {"height": record.big_omega}
     if n is not None:
         extras["n"] = n

@@ -1,4 +1,4 @@
-"""Scanning machinery for the three open questions about divisor graphs.
+"""Scanning machinery for the three conjectures about divisor graphs.
 
 1. The maximum number of pairwise disjoint source-to-sink paths in a Hasse
    diagram equals the number of distinct primes (checked for node- and
@@ -6,6 +6,11 @@
 2. The node width is attained at the middle level ceil(Omega/2).
 3. Some level maximizes the node count and the leaving-arc count at once
    (argmax sets over levels 0..Omega-1 intersect).
+
+Conjecture 2 is a theorem: the divisor lattice is a product of chains, which
+has a symmetric chain decomposition (de Bruijn, van Ebbenhorst Tengbergen
+and Kruyswijk, 1951), so its level sizes are symmetric and unimodal and the
+middle level is a largest one.  Its scan stays as a regression check.
 
 Scans never assert truth; they produce reports, and an empty counterexample
 list is evidence on the scanned range only.
@@ -19,7 +24,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from divgraph.errors import BudgetError
 from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
@@ -116,6 +121,34 @@ def check_argmax_coincidence(parts: Iterable[int]) -> bool:
     return bool(best_nodes & best_arcs)
 
 
+# Each check returns None when the conjecture holds for the signature, else
+# the (observed, expected) payload of its counterexample.
+
+
+def _disjoint_paths_failure(
+    sig: tuple[int, ...], modes: tuple[DisjointMode, ...], node_budget: int
+) -> Optional[tuple[object, object]]:
+    g = build_graph(sig, GraphKind.HASSE, node_budget=node_budget)
+    observed = {m.value: max_disjoint_paths(g, m) for m in modes}
+    if any(v != len(sig) for v in observed.values()):
+        return observed, len(sig)
+    return None
+
+
+def _middle_width_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
+    if check_middle_width(sig):
+        return None
+    counts = level_node_counts(sig)
+    return counts[math.ceil((len(counts) - 1) / 2)], max(counts)
+
+
+def _argmax_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
+    if check_argmax_coincidence(sig):
+        return None
+    observed = {"node_counts": level_node_counts(sig)[:-1], "arc_counts": level_arc_counts(sig)}
+    return observed, "coinciding argmax level"
+
+
 @dataclass(frozen=True)
 class Counterexample:
     signature: tuple[int, ...]
@@ -168,49 +201,30 @@ def scan(
     scope: str = "",
 ) -> ConjectureReport:
     """Run one conjecture's check over a list of signatures and report."""
+    checks = {
+        1: lambda sig: _disjoint_paths_failure(sig, modes, node_budget),
+        2: _middle_width_failure,
+        3: _argmax_failure,
+    }
+    if conjecture not in checks:
+        raise ValueError(f"unknown conjecture id {conjecture}")
+    check = checks[conjecture]
     start = time.perf_counter()
     counterexamples: list[Counterexample] = []
     skipped: list[tuple[tuple[int, ...], str]] = []
     checked = 0
     for raw in signatures:
         sig = as_signature(raw)
+        if not sig and conjecture != 2:  # 1 and 3 are undefined on the one-node graph
+            skipped.append((sig, "empty signature"))
+            continue
         try:
-            if conjecture == 1:
-                if not sig:
-                    skipped.append((sig, "empty signature"))
-                    continue
-                g = build_graph(sig, GraphKind.HASSE, node_budget=node_budget)
-                observed = {m.value: max_disjoint_paths(g, m) for m in modes}
-                expected = len(sig)
-                if any(v != expected for v in observed.values()):
-                    counterexamples.append(Counterexample(sig, observed, expected))
-            elif conjecture == 2:
-                counts = level_node_counts(sig)
-                middle = math.ceil((len(counts) - 1) / 2)
-                if counts[middle] != max(counts):
-                    counterexamples.append(
-                        Counterexample(sig, counts[middle], max(counts))
-                    )
-            elif conjecture == 3:
-                if not sig:
-                    skipped.append((sig, "empty signature"))
-                    continue
-                if not check_argmax_coincidence(sig):
-                    counterexamples.append(
-                        Counterexample(
-                            sig,
-                            {
-                                "node_counts": level_node_counts(sig)[:-1],
-                                "arc_counts": level_arc_counts(sig),
-                            },
-                            "coinciding argmax level",
-                        )
-                    )
-            else:
-                raise ValueError(f"unknown conjecture id {conjecture}")
+            failure = check(sig)
         except BudgetError as exc:
             skipped.append((sig, str(exc)))
             continue
+        if failure is not None:
+            counterexamples.append(Counterexample(sig, *failure))
         checked += 1
     return ConjectureReport(
         conjecture=conjecture,

@@ -1,50 +1,23 @@
-"""Closed-form and DP computation of the fourteen divisor-graph invariants.
+"""Closed-form computation of the fourteen divisor-graph invariants.
 
 Everything here is a pure function of the exponent multiset; no graph is
 ever built.  Path counts are exact big integers, all other invariants are
-checked against a 64-bit bound.  The brute-force counterpart that measures
-the same quantities on an explicit graph lives in divgraph.oracle.
+checked against a 64-bit bound.  ``TABLE`` lists the invariants once; the
+record type, the sequence keys and spellings, and the CLI output all derive
+from it.  The brute-force counterpart that measures the same quantities on
+an explicit graph lives in divgraph.oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, fields
-from itertools import combinations_with_replacement
+from dataclasses import asdict, astuple, make_dataclass
 from typing import Iterable
 
 from divgraph.errors import BudgetError
 from divgraph.signatures import INT_BOUND, as_signature, big_omega, small_omega
 
 DEFAULT_OMEGA_BUDGET = 40
-
-
-@dataclass(frozen=True)
-class InvariantRecord:
-    """The fourteen invariants of one signature class, in table-row order."""
-
-    order: int  # |V|
-    hasse_size: int  # |E^H|
-    big_omega: int
-    small_omega: int
-    width_nodes: int  # W_v
-    width_arcs: int  # W_e
-    degree: int  # max node degree in the Hasse diagram
-    hasse_paths: int  # |P^H|, exact
-    v_even: int
-    v_odd: int
-    e_even: int
-    e_odd: int
-    closure_size: int  # |E^T|
-    closure_paths: int  # |P^T|, exact
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _checked(value: int, what: str, bound: int) -> int:
@@ -151,30 +124,6 @@ def hasse_paths(parts: Iterable[int]) -> int:
     return value
 
 
-def hasse_paths_recursive(parts: Iterable[int]) -> int:
-    """Same count by the level-peeling recursion, for cross-checking.
-
-    Every source-to-sink path passes through exactly one node on the level
-    just below the sink, so P(M) = sum over i of P(M with m_i lowered by 1).
-    """
-    memo: dict[tuple[int, ...], int] = {}
-
-    def rec(sig: tuple[int, ...]) -> int:
-        if sum(sig) <= 1:
-            return 1
-        cached = memo.get(sig)
-        if cached is not None:
-            return cached
-        total = 0
-        for i in range(len(sig)):
-            lowered = sig[:i] + (sig[i] - 1,) + sig[i + 1 :]
-            total += rec(_canon(lowered))
-        memo[sig] = total
-        return total
-
-    return rec(as_signature(parts))
-
-
 def node_parity(parts: Iterable[int]) -> tuple[int, int]:
     """(|V_E|, |V_O|): nodes on even and odd levels; |V_O| = floor(|V|/2)."""
     n = order(parts)
@@ -199,86 +148,32 @@ def closure_size(parts: Iterable[int], *, bound: int = INT_BOUND) -> int:
     return _checked(total - math.prod(m + 1 for m in sig), "closure size", bound)
 
 
-def closure_size_by_divisor_sum(parts: Iterable[int]) -> int:
-    """Literal form of the same count: sum over all divisors v of (tau(v) - 1).
-
-    Kept as an independent cross-check of the closed form.
-    """
-    sig = as_signature(parts)
-    total = 0
-    for v in _vectors_below(sig):
-        total += math.prod(c + 1 for c in v) - 1
-    return total
-
-
 def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUDGET) -> int:
-    """Source-to-sink path count of the transitive closure.
+    """Source-to-sink path count of the transitive closure, in closed form.
 
-    Recursion: a path to the sink arrives from some proper divisor, so
-    f(n) = sum of f(v) over proper divisors v, with f = 1 when Omega <= 1.
-    States are memoized on the sorted residual exponent tuple (the count
-    only depends on the signature class), and the sum over divisors is
-    grouped by residual signature with multiplicities computed
-    combinatorially, which keeps the table small and the scan fast.
+    A path is a strict chain 1 = d_0 < d_1 < ... < d_l = n of divisors, so
+    the count is the number of ordered factorizations of n (OEIS A074206).
+    A multichain with j weak steps picks, for each prime independently, j
+    exponent increments summing to m_k, so there are M(j) = prod_k
+    C(m_k+j-1, j-1) of them.  Inclusion-exclusion over the steps allowed to
+    stay put leaves sum_j (-1)^(l-j) C(l, j) M(j) strict chains of length l
+    (Stanley, EC1 section 3.12); summing over l = 1..Omega gives the total.
+    The one-node and two-node graphs have a single path.
     """
     sig = as_signature(parts)
-    if sum(sig) > omega_budget:
-        raise BudgetError(f"Omega {sum(sig)} exceeds DP budget {omega_budget}")
-    memo: dict[tuple[int, ...], int] = {}
-
-    def f(t: tuple[int, ...]) -> int:
-        if sum(t) <= 1:
-            return 1
-        cached = memo.get(t)
-        if cached is not None:
-            return cached
-        total = 0
-        for sub, mult in _substate_counts(t).items():
-            if sub != t:
-                total += mult * f(sub)
-        memo[t] = total
-        return total
-
-    return f(sig)
-
-
-def _substate_counts(t: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Map residual signature -> number of exponent vectors below ``t`` with it.
-
-    Coordinates sharing the same bound are interchangeable, so choices are
-    enumerated per bound value as multisets, weighted by their permutation
-    counts, then merged across bound values.
-    """
-    acc: dict[tuple[int, ...], int] = {(): 1}
-    for value, mult in sorted(Counter(t).items()):
-        options: list[tuple[tuple[int, ...], int]] = []
-        for combo in combinations_with_replacement(range(value + 1), mult):
-            options.append((combo, _permutation_count(combo)))
-        merged: dict[tuple[int, ...], int] = {}
-        for base, base_count in acc.items():
-            for combo, combo_count in options:
-                key = _canon(base + combo)
-                merged[key] = merged.get(key, 0) + base_count * combo_count
-        acc = merged
-    return acc
-
-
-def _permutation_count(combo: tuple[int, ...]) -> int:
-    count = math.factorial(len(combo))
-    for c in Counter(combo).values():
-        count //= math.factorial(c)
-    return count
-
-
-def _canon(parts: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted((p for p in parts if p), reverse=True))
-
-
-def _vectors_below(sig: tuple[int, ...]):
-    if not sig:
-        yield ()
-        return
-    yield from itertools.product(*(range(m + 1) for m in sig))
+    total = sum(sig)
+    if total > omega_budget:
+        raise BudgetError(f"Omega {total} exceeds omega budget {omega_budget}")
+    if total <= 1:
+        return 1
+    multichains = [0] + [
+        math.prod(math.comb(m + j - 1, j - 1) for m in sig) for j in range(1, total + 1)
+    ]
+    return sum(
+        (-1) ** (l - j) * math.comb(l, j) * multichains[j]
+        for l in range(1, total + 1)
+        for j in range(1, l + 1)
+    )
 
 
 def height(parts: Iterable[int]) -> int:
@@ -286,29 +181,57 @@ def height(parts: Iterable[int]) -> int:
     return big_omega(parts)
 
 
+#: The fourteen invariants in table-row order, one row each:
+#: (key, record field, function of the signature, accepted spellings).
+#: A name resolves to a key when it equals the key or, lowercased, one of the
+#: spellings.
+TABLE = (
+    ("V", "order", order, ("|v|", "v")),
+    ("EH", "hasse_size", hasse_size, ("|e^h|", "e^h", "eh")),
+    ("Omega", "big_omega", height, ("bigomega",)),
+    ("omega", "small_omega", small_omega, ("smallomega",)),
+    ("Wv", "width_nodes", width_nodes, ("w_v", "wv")),
+    ("We", "width_arcs", width_arcs, ("w_e", "we")),
+    ("Delta", "degree", degree, ("delta", "d")),
+    ("PH", "hasse_paths", hasse_paths, ("|p^h|", "p^h", "ph")),
+    ("VE", "v_even", lambda s: node_parity(s)[0], ("|v_e|", "v_e", "ve")),
+    ("VO", "v_odd", lambda s: node_parity(s)[1], ("|v_o|", "v_o", "vo")),
+    ("EE", "e_even", lambda s: arc_parity(s)[0], ("|e_e|", "e_e", "ee")),
+    ("EO", "e_odd", lambda s: arc_parity(s)[1], ("|e_o|", "e_o", "eo")),
+    ("ET", "closure_size", closure_size, ("|e^t|", "e^t", "et")),
+    ("PT", "closure_paths", closure_paths, ("|p^t|", "p^t", "pt")),
+)
+
+#: Key -> function, in table-row order.  Callers go through this plain dict,
+#: not through TABLE, so that a wrapper installed here (perfbench/spans.py
+#: traces closure_paths this way) is the function that runs.
+FUNCS = {key: func for key, _, func, _ in TABLE}
+
+InvariantRecord = make_dataclass(
+    "InvariantRecord",
+    [(field, int) for _, field, _, _ in TABLE],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "The fourteen invariants of one signature class, in table-row order.",
+        "as_tuple": astuple,
+        "as_dict": asdict,
+    },
+)
+
+
 def all_invariants(
-    parts: Iterable[int],
-    *,
-    bound: int = INT_BOUND,
-    omega_budget: int = DEFAULT_OMEGA_BUDGET,
+    parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUDGET
 ) -> InvariantRecord:
-    """Bundle all fourteen invariants for one signature."""
+    """Bundle all fourteen invariants for one signature.
+
+    Each value is its row's function applied to the signature; |P^T| is also
+    given the omega budget.
+    """
     sig = as_signature(parts)
-    v_even, v_odd = node_parity(sig)
-    e_even, e_odd = arc_parity(sig)
     return InvariantRecord(
-        order=order(sig, bound=bound),
-        hasse_size=hasse_size(sig, bound=bound),
-        big_omega=big_omega(sig),
-        small_omega=small_omega(sig),
-        width_nodes=width_nodes(sig),
-        width_arcs=width_arcs(sig),
-        degree=degree(sig),
-        hasse_paths=hasse_paths(sig),
-        v_even=v_even,
-        v_odd=v_odd,
-        e_even=e_even,
-        e_odd=e_odd,
-        closure_size=closure_size(sig, bound=bound),
-        closure_paths=closure_paths(sig, omega_budget=omega_budget),
+        *(
+            closure_paths(sig, omega_budget=omega_budget) if key == "PT" else func(sig)
+            for key, func in FUNCS.items()
+        )
     )

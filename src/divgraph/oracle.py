@@ -29,20 +29,25 @@ def count_paths(g: DivisorGraph) -> int:
     return counts[n - 1]
 
 
-def count_paths_dfs(g: DivisorGraph) -> int:
-    """Memo-free exhaustive DFS path count; exponential, small graphs only."""
+def _profile(g: DivisorGraph) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Per-node levels, node and leaving-arc counts per level, in- and out-degrees.
+
+    Read off ``g.nodes`` and ``g.arcs`` by counting alone.
+    """
     n = len(g.nodes)
-    outgoing: list[list[int]] = [[] for _ in range(n)]
+    levels = [sum(v) for v in g.nodes]
+    top = max(levels)
+    node_counts = [0] * (top + 1)
+    for lv in levels:
+        node_counts[lv] += 1
+    arc_counts = [0] * max(top, 1)
+    indeg = [0] * n
+    outdeg = [0] * n
     for a, b in g.arcs:
-        outgoing[a].append(b)
-    sink = n - 1
-
-    def walk(v: int) -> int:
-        if v == sink:
-            return 1
-        return sum(walk(w) for w in outgoing[v])
-
-    return walk(0)
+        arc_counts[levels[a]] += 1
+        outdeg[a] += 1
+        indeg[b] += 1
+    return levels, node_counts, arc_counts, indeg, outdeg
 
 
 def measure(g: DivisorGraph, gT: DivisorGraph) -> InvariantRecord:
@@ -54,7 +59,7 @@ def measure(g: DivisorGraph, gT: DivisorGraph) -> InvariantRecord:
             f"graphs have different signatures: {g.signature} vs {gT.signature}"
         )
     n = len(g.nodes)
-    levels = [sum(v) for v in g.nodes]
+    _, node_counts, arc_counts, indeg, outdeg = _profile(g)
 
     # Height as an actual longest path, not as a formula.
     longest = [0] * n
@@ -62,21 +67,8 @@ def measure(g: DivisorGraph, gT: DivisorGraph) -> InvariantRecord:
         if longest[a] + 1 > longest[b]:
             longest[b] = longest[a] + 1
     omega_total = longest[n - 1]
-
-    node_counts = [0] * (omega_total + 1)
-    for lv in levels:
-        node_counts[lv] += 1
-    arc_counts = [0] * max(omega_total, 1)
-    indeg = [0] * n
-    outdeg = [0] * n
-    odd_arcs = 0
-    for a, b in g.arcs:
-        arc_counts[levels[a]] += 1
-        outdeg[a] += 1
-        indeg[b] += 1
-        if levels[a] % 2:
-            odd_arcs += 1
-    odd_nodes = sum(1 for lv in levels if lv % 2)
+    odd_nodes = sum(node_counts[1::2])
+    odd_arcs = sum(arc_counts[1::2])
 
     return InvariantRecord(
         order=n,
@@ -121,22 +113,9 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
         raise ValueError("verify_structure requires a Hasse diagram")
     n = len(g.nodes)
     w = len(g.signature)
-    levels = [sum(v) for v in g.nodes]
-    omega_total = max(levels)
-
-    node_counts = [0] * (omega_total + 1)
-    for lv in levels:
-        node_counts[lv] += 1
-    arc_counts = [0] * max(omega_total, 1)
-    indeg = [0] * n
-    outdeg = [0] * n
-    parity_ok = True
-    for a, b in g.arcs:
-        arc_counts[levels[a]] += 1
-        outdeg[a] += 1
-        indeg[b] += 1
-        if (levels[a] + levels[b]) % 2 == 0:
-            parity_ok = False
+    levels, node_counts, arc_counts, indeg, outdeg = _profile(g)
+    omega_total = len(node_counts) - 1
+    parity_ok = all((levels[a] + levels[b]) % 2 for a, b in g.arcs)
 
     level_symmetry = all(
         node_counts[l] == node_counts[omega_total - l] for l in range(omega_total + 1)
@@ -181,20 +160,3 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
         bipartite_by_parity=parity_ok,
         uniform_path_length=uniform_path_length,
     )
-
-
-def transitive_reduction_arcs(gT: DivisorGraph) -> set[tuple[int, int]]:
-    """Arcs surviving literal transitive reduction of a closure graph.
-
-    Drops every arc (a, b) that has a witness c with (a, c) and (c, b) both
-    arcs.  Cubic; used to validate the Hasse construction on small graphs.
-    """
-    if gT.kind is not GraphKind.CLOSURE:
-        raise ValueError("transitive_reduction_arcs requires a closure graph")
-    arc_set = set(gT.arcs)
-    n = len(gT.nodes)
-    kept = set()
-    for a, b in gT.arcs:
-        if not any((a, c) in arc_set and (c, b) in arc_set for c in range(a + 1, b)):
-            kept.add((a, b))
-    return kept

@@ -32,73 +32,26 @@ class Ordering(Enum):
     CANONICAL = "canonical"
 
 
-#: Canonical invariant keys, in table-row order, plus the least-integer row.
+#: The invariant table plus the least-integer row, which has no record field.
+_ROWS = invariants.TABLE + (("LI", None, least_integer, ("li",)),)
+
+#: Canonical invariant keys, in table-row order, each with its function.
 INVARIANT_FUNCS: dict[str, Callable[[tuple[int, ...]], int]] = {
-    "V": invariants.order,
-    "EH": invariants.hasse_size,
-    "Omega": invariants.height,
-    "omega": invariants.small_omega,
-    "Wv": invariants.width_nodes,
-    "We": invariants.width_arcs,
-    "Delta": invariants.degree,
-    "PH": invariants.hasse_paths,
-    "VE": lambda s: invariants.node_parity(s)[0],
-    "VO": lambda s: invariants.node_parity(s)[1],
-    "EE": lambda s: invariants.arc_parity(s)[0],
-    "EO": lambda s: invariants.arc_parity(s)[1],
-    "ET": invariants.closure_size,
-    "PT": invariants.closure_paths,
-    "LI": least_integer,
+    key: func for key, _, func, _ in _ROWS
 }
 
-_ALIASES = {
-    "|v|": "V",
-    "v": "V",
-    "|e^h|": "EH",
-    "e^h": "EH",
-    "eh": "EH",
-    "bigomega": "Omega",
-    "smallomega": "omega",
-    "w_v": "Wv",
-    "wv": "Wv",
-    "w_e": "We",
-    "we": "We",
-    "delta": "Delta",
-    "d": "Delta",
-    "|p^h|": "PH",
-    "p^h": "PH",
-    "ph": "PH",
-    "|v_e|": "VE",
-    "v_e": "VE",
-    "ve": "VE",
-    "|v_o|": "VO",
-    "v_o": "VO",
-    "vo": "VO",
-    "|e_e|": "EE",
-    "e_e": "EE",
-    "ee": "EE",
-    "|e_o|": "EO",
-    "e_o": "EO",
-    "eo": "EO",
-    "|e^t|": "ET",
-    "e^t": "ET",
-    "et": "ET",
-    "|p^t|": "PT",
-    "p^t": "PT",
-    "pt": "PT",
-    "li": "LI",
-}
+_SPELLINGS = {spelling: key for key, _, _, spellings in _ROWS for spelling in spellings}
 
 
 def normalize_invariant(name: str) -> str:
     """Resolve a user-supplied invariant name to its canonical key.
 
     "Omega" and "omega" differ only by case, so exact keys win before the
-    case-insensitive alias table is consulted.
+    spellings are matched case-insensitively.
     """
     if name in INVARIANT_FUNCS:
         return name
-    key = _ALIASES.get(name.lower())
+    key = _SPELLINGS.get(name.lower())
     if key is None:
         raise ValueError(f"unknown invariant {name!r}; choose from {sorted(INVARIANT_FUNCS)}")
     return key

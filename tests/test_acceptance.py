@@ -18,10 +18,8 @@ from divgraph.invariants import (
     all_invariants,
     arc_parity,
     closure_size,
-    closure_size_by_divisor_sum,
     degree,
     hasse_paths,
-    hasse_paths_recursive,
     hasse_size,
     node_parity,
     order,
@@ -41,6 +39,7 @@ from divgraph.signatures import (
 )
 
 from _corpus import oracle_corpus
+from _reference import closure_size_by_divisor_sum, hasse_paths_recursive
 from fixtures.signature_orders import CANONICAL_30, GRADED_COLEX_30
 from fixtures.table_rows import CANONICAL_ROWS, COLEX_ROWS, NATURAL_ERRATA, NATURAL_ROWS
 

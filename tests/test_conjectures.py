@@ -5,8 +5,8 @@ import json
 
 import pytest
 
+from divgraph import cli, conjectures
 from divgraph.conjectures import (
-    ConjectureReport,
     DisjointMode,
     check_argmax_coincidence,
     check_middle_width,
@@ -177,11 +177,28 @@ class TestScan:
         assert payload["counterexamples"] == []
         assert payload["elapsed_seconds"] >= 0
 
-    def test_counterexample_surfaces(self):
-        # a scan that compares against a wrong expectation must say so, so
-        # feed conjecture 2 a signature with a fabricated profile via the
-        # report structure instead: simplest is to check the dataclass wiring
-        report = ConjectureReport(
-            conjecture=2, scope="x", checked=1, counterexamples=[], skipped=[]
-        )
-        assert report.ok
+    def test_counterexample_surfaces(self, monkeypatch, capsys):
+        # both checks are true theorems on these inputs, so break them
+        monkeypatch.setattr(conjectures, "check_middle_width", lambda parts: False)
+        monkeypatch.setattr(conjectures, "check_argmax_coincidence", lambda parts: False)
+
+        report = scan(2, [(), (4, 2)])
+        assert not report.ok and report.checked == 2 and report.skipped == []
+        assert [c.signature for c in report.counterexamples] == [(), (4, 2)]
+        # (4, 2) has levels [1, 2, 3, 3, 3, 2, 1]: middle count, then the width
+        assert (report.counterexamples[1].observed, report.counterexamples[1].expected) == (3, 3)
+
+        report = scan(3, [(), (2, 1)])
+        assert report.checked == 1 and report.skipped == [((), "empty signature")]
+        payload = report.to_dict()["counterexamples"]
+        assert payload == [
+            {
+                "signature": [2, 1],
+                "observed": {"node_counts": [1, 2, 2], "arc_counts": [2, 3, 2]},
+                "expected": "coinciding argmax level",
+            }
+        ]
+
+        for argv in (["--id", "2", "--max-n", "30"], ["--id", "3", "--colex-count", "5"]):
+            assert cli.main(["conjectures", *argv]) == 3
+            assert json.loads(capsys.readouterr().out)["counterexamples"]

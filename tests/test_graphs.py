@@ -17,8 +17,9 @@ from divgraph.graphs import (
     to_dot,
     to_json,
 )
-from divgraph.oracle import transitive_reduction_arcs
 from divgraph.signatures import factorize
+
+from _reference import transitive_reduction_arcs
 
 signatures = st.lists(st.integers(min_value=1, max_value=4), max_size=4).map(tuple)
 

@@ -11,10 +11,8 @@ from divgraph.invariants import (
     arc_parity,
     closure_paths,
     closure_size,
-    closure_size_by_divisor_sum,
     degree,
     hasse_paths,
-    hasse_paths_recursive,
     hasse_size,
     height,
     level_arc_counts,
@@ -27,6 +25,7 @@ from divgraph.invariants import (
 from divgraph.signatures import partitions_of
 
 from _corpus import small_corpus
+from _reference import closure_size_by_divisor_sum, hasse_paths_recursive
 
 signatures = st.lists(st.integers(min_value=1, max_value=5), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -181,6 +180,18 @@ class TestClosurePaths:
     def test_budget(self):
         with pytest.raises(BudgetError):
             closure_paths((1,) * 41, omega_budget=40)
+
+    def test_squarefree_gives_fubini_numbers(self):
+        # ordered set partitions: a(k) = sum_{i=1..k} C(k, i) a(k - i), a(0) = 1
+        fubini = [1]
+        for k in range(1, 41):
+            fubini.append(sum(math.comb(k, i) * fubini[k - i] for i in range(1, k + 1)))
+        for k in range(41):
+            assert closure_paths((1,) * k) == fubini[k], k
+
+    def test_prime_power_gives_compositions(self):
+        for m in range(1, 41):
+            assert closure_paths((m,)) == 2 ** (m - 1), m
 
     def test_literal_divisor_recursion_agrees(self):
         # f(n) = sum of f(v) over proper divisors v, computed over concrete

@@ -217,3 +217,38 @@ class TestNormalize:
     )
     def test_aliases(self, alias, key):
         assert normalize_invariant(alias) == key
+
+    # every spelling accepted besides the exact keys, matched case-insensitively
+    SPELLINGS = {
+        "|v|": "V", "v": "V",
+        "|e^h|": "EH", "e^h": "EH", "eh": "EH",
+        "bigomega": "Omega", "smallomega": "omega",
+        "w_v": "Wv", "wv": "Wv", "w_e": "We", "we": "We",
+        "delta": "Delta", "d": "Delta",
+        "|p^h|": "PH", "p^h": "PH", "ph": "PH",
+        "|v_e|": "VE", "v_e": "VE", "ve": "VE",
+        "|v_o|": "VO", "v_o": "VO", "vo": "VO",
+        "|e_e|": "EE", "e_e": "EE", "ee": "EE",
+        "|e_o|": "EO", "e_o": "EO", "eo": "EO",
+        "|e^t|": "ET", "e^t": "ET", "et": "ET",
+        "|p^t|": "PT", "p^t": "PT", "pt": "PT",
+        "li": "LI",
+    }
+
+    @pytest.mark.parametrize("spelling,key", sorted(SPELLINGS.items()))
+    def test_every_spelling_any_case(self, spelling, key):
+        assert normalize_invariant(spelling) == key
+        assert normalize_invariant(spelling.upper()) == key
+        assert normalize_invariant(spelling.title()) == key
+
+    @pytest.mark.parametrize(
+        "key", ["V", "EH", "Omega", "omega", "Wv", "We", "Delta", "PH",
+                "VE", "VO", "EE", "EO", "ET", "PT", "LI"]
+    )
+    def test_exact_keys(self, key):
+        assert normalize_invariant(key) == key
+
+    @pytest.mark.parametrize("name", ["OMEGA", "oMega", "XX", "height", "", "|v"])
+    def test_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown invariant"):
+            normalize_invariant(name)
