@@ -23,11 +23,15 @@ from divgraph import graphs, invariants, sequences
 from divgraph.errors import BudgetError
 from divgraph.kernels import active_backend
 from divgraph.signatures import (
+    SignatureOrder,
+    enumerate_signatures,
     factorize,
     least_integer,
     parse_signature_key,
+    partitions_of,
+    signature_from_sieve,
     signature_key,
-    signature_of,
+    spf_sieve,
 )
 
 
@@ -73,13 +77,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     )
     record = invariants.all_invariants(bounds, omega_budget=omega_budget)
     values = dict(zip(invariants.FUNCS, record.as_tuple()))
-    extras: dict[str, object] = {"height": record.big_omega}
+    key = signature_key(tuple(sorted(bounds, reverse=True)))
     if n is not None:
-        extras["n"] = n
-        extras["signature"] = signature_key(signature_of(n))
+        extras = {"height": record.big_omega, "n": n, "signature": key}
     else:
-        extras["signature"] = signature_key(tuple(sorted(bounds, reverse=True)))
-        extras["LI"] = least_integer(bounds)
+        extras = {"height": record.big_omega, "signature": key, "LI": least_integer(bounds)}
     if args.format == "json":
         _write_out(json.dumps({**values, **extras}) + "\n", args.out)
     else:
@@ -121,14 +123,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_conjectures(args: argparse.Namespace) -> int:
-    from divgraph.signatures import (
-        enumerate_signatures,
-        partitions_of,
-        signature_from_sieve,
-        SignatureOrder,
-        spf_sieve,
-    )
-
     modes = {
         "node": (conj.DisjointMode.NODE,),
         "arc": (conj.DisjointMode.ARC,),

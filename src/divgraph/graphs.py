@@ -5,7 +5,9 @@ coordinate order).  Nodes are all exponent vectors below the bounds, in
 lexicographic order; node 0 is the all-zero source and the last node is the
 sink.  Two kinds are supported: the Hasse diagram (covering relation, arcs
 raise one coordinate by one) and the transitive closure (every dominated
-pair).  Graphs are immutable once built.
+pair).  Graphs are immutable once built.  ``level_profile`` reads everything
+the oracle needs from a Hasse diagram (levels, per-level counts, degrees and
+distances from the source) in one pass over its arcs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ class GraphKind(Enum):
 
 @dataclass(frozen=True)
 class DivisorGraph:
+    """Nodes in lexicographic order, so every arc goes from a lower index to
+    a higher one; arcs sorted by tail, then head.  The oracle's forward
+    passes over ``arcs`` rely on that order: all arcs into a node come
+    before any arc out of it."""
+
     signature: tuple[int, ...]
     kind: GraphKind
     nodes: list[ExponentVector] = field(repr=False)
@@ -47,8 +54,13 @@ class DivisorGraph:
 
 @dataclass(frozen=True)
 class LevelProfile:
-    node_counts: list[int]  # level l = coordinate sum l, l = 0..Omega
-    arc_counts: list[int]  # arcs leaving level l, l = 0..Omega-1
+    node_counts: list[int]  # level l = coordinate sum l, l = 0..top
+    arc_counts: list[int]  # arcs leaving level l, l = 0..top-1
+    levels: list[int]  # level of each node
+    indeg: list[int]
+    outdeg: list[int]
+    shortest: list[int]  # fewest arcs from node 0; node count + 1 if unreached
+    longest: list[int]  # most arcs from node 0; -1 if unreached
 
 
 def graph_order(bounds: tuple[int, ...]) -> int:
@@ -84,22 +96,37 @@ def build_graph(
 
 
 def level_profile(g: DivisorGraph) -> LevelProfile:
-    """Per-level node and leaving-arc counts of a Hasse diagram.
+    """Levels, per-level counts, degrees and distances of a Hasse diagram.
 
-    Levels follow the exponent-sum decomposition; every Hasse arc leaves the
-    level of its tail.
+    One pass over ``g.arcs`` counts arcs by the level of their tail, counts
+    degrees, and pushes the shortest and longest arc distances from node 0
+    forward, which needs the tail order that ``DivisorGraph`` documents.
+    Levels are exponent sums read off ``g.nodes`` and the top level is the
+    highest of them, never a formula of the signature.
     """
     if g.kind is not GraphKind.HASSE:
         raise ValueError("level_profile requires a Hasse diagram")
-    omega_total = sum(g.signature)
-    node_counts = [0] * (omega_total + 1)
+    n = len(g.nodes)
     levels = [sum(v) for v in g.nodes]
+    top = max(levels)
+    node_counts = [0] * (top + 1)
     for lv in levels:
         node_counts[lv] += 1
-    arc_counts = [0] * omega_total
-    for a, _ in g.arcs:
+    arc_counts = [0] * top
+    indeg = [0] * n
+    outdeg = [0] * n
+    shortest = [n + 1] * n
+    longest = [-1] * n
+    shortest[0] = longest[0] = 0
+    for a, b in g.arcs:
         arc_counts[levels[a]] += 1
-    return LevelProfile(node_counts=node_counts, arc_counts=arc_counts)
+        outdeg[a] += 1
+        indeg[b] += 1
+        if shortest[a] + 1 < shortest[b]:
+            shortest[b] = shortest[a] + 1
+        if longest[a] + 1 > longest[b]:
+            longest[b] = longest[a] + 1
+    return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, shortest, longest)
 
 
 def divisor_value(v: ExponentVector, f: Factorization, *, bound: int = INT_BOUND) -> int:

@@ -2,52 +2,29 @@
 
 Ground truth for the formulas in divgraph.invariants: everything here is
 read off the node and arc lists by counting, bucketing, and path DP, never
-by formula.  Deliberately allowed to be slow.
+by formula.  Levels, counts, degrees and distances come from one pass,
+``graphs.level_profile``; path counts from one forward push over the arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from divgraph.graphs import DivisorGraph, GraphKind
+from divgraph.graphs import DivisorGraph, GraphKind, level_profile
 from divgraph.invariants import InvariantRecord
 
 
 def count_paths(g: DivisorGraph) -> int:
-    """Number of distinct source-to-sink paths, by DP in index order.
+    """Number of distinct source-to-sink paths, by one forward push.
 
-    Node indices are already topological (every arc goes low to high).
+    Arcs come sorted by tail and every arc goes low to high, so each node's
+    count is final before any of its leaving arcs is read.
     """
-    n = len(g.nodes)
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.arcs:
-        incoming[b].append(a)
-    counts = [0] * n
+    counts = [0] * len(g.nodes)
     counts[0] = 1
-    for j in range(1, n):
-        counts[j] = sum(counts[i] for i in incoming[j])
-    return counts[n - 1]
-
-
-def _profile(g: DivisorGraph) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """Per-node levels, node and leaving-arc counts per level, in- and out-degrees.
-
-    Read off ``g.nodes`` and ``g.arcs`` by counting alone.
-    """
-    n = len(g.nodes)
-    levels = [sum(v) for v in g.nodes]
-    top = max(levels)
-    node_counts = [0] * (top + 1)
-    for lv in levels:
-        node_counts[lv] += 1
-    arc_counts = [0] * max(top, 1)
-    indeg = [0] * n
-    outdeg = [0] * n
     for a, b in g.arcs:
-        arc_counts[levels[a]] += 1
-        outdeg[a] += 1
-        indeg[b] += 1
-    return levels, node_counts, arc_counts, indeg, outdeg
+        counts[b] += counts[a]
+    return counts[-1]
 
 
 def measure(g: DivisorGraph, gT: DivisorGraph) -> InvariantRecord:
@@ -59,14 +36,11 @@ def measure(g: DivisorGraph, gT: DivisorGraph) -> InvariantRecord:
             f"graphs have different signatures: {g.signature} vs {gT.signature}"
         )
     n = len(g.nodes)
-    _, node_counts, arc_counts, indeg, outdeg = _profile(g)
+    profile = level_profile(g)
+    node_counts, arc_counts = profile.node_counts, profile.arc_counts
 
     # Height as an actual longest path, not as a formula.
-    longest = [0] * n
-    for a, b in g.arcs:
-        if longest[a] + 1 > longest[b]:
-            longest[b] = longest[a] + 1
-    omega_total = longest[n - 1]
+    omega_total = profile.longest[-1]
     odd_nodes = sum(node_counts[1::2])
     odd_arcs = sum(arc_counts[1::2])
 
@@ -77,7 +51,7 @@ def measure(g: DivisorGraph, gT: DivisorGraph) -> InvariantRecord:
         small_omega=node_counts[1] if omega_total >= 1 else 0,
         width_nodes=max(node_counts),
         width_arcs=max(arc_counts) if g.arcs else 0,
-        degree=max(i + o for i, o in zip(indeg, outdeg)) if n > 1 else 0,
+        degree=max(i + o for i, o in zip(profile.indeg, profile.outdeg)) if n > 1 else 0,
         hasse_paths=count_paths(g),
         v_even=n - odd_nodes,
         v_odd=odd_nodes,
@@ -113,9 +87,12 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
         raise ValueError("verify_structure requires a Hasse diagram")
     n = len(g.nodes)
     w = len(g.signature)
-    levels, node_counts, arc_counts, indeg, outdeg = _profile(g)
+    profile = level_profile(g)
+    node_counts, arc_counts, levels = profile.node_counts, profile.arc_counts, profile.levels
+    indeg, outdeg = profile.indeg, profile.outdeg
     omega_total = len(node_counts) - 1
-    parity_ok = all((levels[a] + levels[b]) % 2 for a, b in g.arcs)
+    # level differences across arcs: 1 for a cover, odd across the bipartition
+    steps = {levels[b] - levels[a] for a, b in g.arcs}
 
     level_symmetry = all(
         node_counts[l] == node_counts[omega_total - l] for l in range(omega_total + 1)
@@ -135,21 +112,11 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
     # shortest and longest source-sink distances both equal Omega.
     sources = [v for v in range(n) if indeg[v] == 0]
     sinks = [v for v in range(n) if outdeg[v] == 0]
-    covers_ok = all(levels[b] - levels[a] == 1 for a, b in g.arcs)
-    inf = n + 1
-    shortest = [inf] * n
-    longest = [-1] * n
-    shortest[0] = longest[0] = 0
-    for a, b in g.arcs:
-        if shortest[a] + 1 < shortest[b]:
-            shortest[b] = shortest[a] + 1
-        if longest[a] + 1 > longest[b]:
-            longest[b] = longest[a] + 1
     uniform_path_length = (
         sources == [0]
         and sinks == [n - 1]
-        and covers_ok
-        and shortest[n - 1] == longest[n - 1] == omega_total
+        and steps <= {1}
+        and profile.shortest[-1] == profile.longest[-1] == omega_total
     )
 
     return StructureReport(
@@ -157,6 +124,6 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
         arc_level_symmetry=arc_level_symmetry,
         special_levels=special_levels,
         degree_bounds=degree_bounds,
-        bipartite_by_parity=parity_ok,
+        bipartite_by_parity=all(d % 2 for d in steps),
         uniform_path_length=uniform_path_length,
     )

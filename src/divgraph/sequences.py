@@ -9,6 +9,7 @@ compared against a local b-file reference.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -21,8 +22,9 @@ from divgraph.signatures import (
     SignatureOrder,
     enumerate_signatures,
     least_integer,
+    signature_from_sieve,
     signature_key,
-    signature_of,
+    spf_sieve,
 )
 
 
@@ -79,7 +81,9 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
 
     Natural order keys by n starting at 1; signature orders key by index
     starting at 0 (the empty signature).  The least-integer row only exists
-    under the signature orders.
+    under the signature orders.  Natural order reads each signature off one
+    smallest-prime-factor sieve and computes each distinct signature's value
+    once.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -89,14 +93,12 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     if ordering is Ordering.NATURAL:
         if key == "LI":
             raise ValueError("LI is only defined under the signature orders")
+        spf = spf_sieve(count)
+        value_of = functools.cache(func)
         for n in range(1, count + 1):
-            entries.append(SequenceEntry(key=n, value=func(signature_of(n))))
+            entries.append(SequenceEntry(key=n, value=value_of(signature_from_sieve(n, spf))))
     else:
-        order = (
-            SignatureOrder.GRADED_COLEX
-            if ordering is Ordering.GRADED_COLEX
-            else SignatureOrder.CANONICAL
-        )
+        order = SignatureOrder(ordering.value)
         for i, sig in enumerate(enumerate_signatures(order, count)):
             entries.append(SequenceEntry(key=i, value=func(sig), signature=sig))
     return SequenceTable(invariant=key, ordering=ordering, entries=entries)

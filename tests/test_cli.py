@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from divgraph import cli, signatures
 from divgraph.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -46,6 +47,49 @@ class TestInvariants:
         assert payload["Delta"] == 5
         assert payload["signature"] == "3.2.1"
         assert payload["n"] == 540
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ["--n", "540"],
+                "V = 24\nEH = 46\nOmega = 6\nomega = 3\nWv = 6\nWe = 12\nDelta = 5\nPH = 60\n"
+                "VE = 12\nVO = 12\nEE = 23\nEO = 23\nET = 156\nPT = 604\nheight = 6\n"
+                "n = 540\nsignature = 3.2.1\n",
+            ),
+            (
+                ["--sig", "2.3.1"],
+                "V = 24\nEH = 46\nOmega = 6\nomega = 3\nWv = 6\nWe = 12\nDelta = 5\nPH = 60\n"
+                "VE = 12\nVO = 12\nEE = 23\nEO = 23\nET = 156\nPT = 604\nheight = 6\n"
+                "signature = 3.2.1\nLI = 360\n",
+            ),
+            (
+                ["--n", "540", "--format", "json"],
+                '{"V": 24, "EH": 46, "Omega": 6, "omega": 3, "Wv": 6, "We": 12, "Delta": 5, '
+                '"PH": 60, "VE": 12, "VO": 12, "EE": 23, "EO": 23, "ET": 156, "PT": 604, '
+                '"height": 6, "n": 540, "signature": "3.2.1"}\n',
+            ),
+            (
+                ["--sig", "2.3.1", "--format", "json"],
+                '{"V": 24, "EH": 46, "Omega": 6, "omega": 3, "Wv": 6, "We": 12, "Delta": 5, '
+                '"PH": 60, "VE": 12, "VO": 12, "EE": 23, "EO": 23, "ET": 156, "PT": 604, '
+                '"height": 6, "signature": "3.2.1", "LI": 360}\n',
+            ),
+        ],
+        ids=["n-text", "sig-text", "n-json", "sig-json"],
+    )
+    def test_full_output_factors_n_once(self, capsys, monkeypatch, argv, stdout):
+        calls = []
+        original = signatures.factorize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(signatures, "factorize", counting)
+        monkeypatch.setattr(cli, "factorize", counting)
+        assert run(capsys, "invariants", *argv) == (0, stdout, "")
+        assert len(calls) == (1 if argv[0] == "--n" else 0)
 
     def test_bad_signature_syntax(self, capsys):
         code, _, err = run(capsys, "invariants", "--sig", "2.x.1")

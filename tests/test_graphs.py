@@ -108,6 +108,17 @@ class TestLevelProfile:
         assert profile.node_counts[5] == 3
         assert profile.arc_counts[0] == 3
         assert max(profile.arc_counts) == 12
+        assert profile.shortest[-1] == profile.longest[-1] == 6
+        assert max(profile.indeg) == max(profile.outdeg) == 3
+        assert max(i + o for i, o in zip(profile.indeg, profile.outdeg)) == 5
+        assert [profile.levels.count(l) for l in range(7)] == profile.node_counts
+
+    def test_single_node(self):
+        profile = level_profile(build_graph((), GraphKind.HASSE))
+        assert profile.node_counts == [1]
+        assert profile.arc_counts == []
+        assert profile.levels == profile.indeg == profile.outdeg == [0]
+        assert profile.shortest == profile.longest == [0]
 
     def test_prime(self):
         profile = level_profile(build_graph((1,), GraphKind.HASSE))

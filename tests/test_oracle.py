@@ -101,13 +101,30 @@ class TestVerifyStructure:
         with pytest.raises(ValueError):
             verify_structure(build_graph((2,), GraphKind.CLOSURE))
 
-    def test_detects_broken_symmetry(self):
-        # tamper with a graph: drop one arc and the claims must start failing
-        g = build_graph((2, 2), GraphKind.HASSE)
-        broken = type(g)(
-            signature=g.signature, kind=g.kind, nodes=g.nodes, arcs=g.arcs[:-1]
-        )
-        assert not verify_structure(broken).all_ok
+    @pytest.mark.parametrize(
+        "sig, drop, add, failing",
+        [
+            # the last arc goes: a second sink and one arc fewer on level 3
+            ((2, 2), [((2, 1), (2, 2))], [], ["arc_level_symmetry", "uniform_path_length"]),
+            # an arc from level 1 to level 3 that keeps every degree in bounds
+            (
+                (2, 1, 1),
+                [],
+                [((0, 0, 1), (2, 1, 0))],
+                ["arc_level_symmetry", "bipartite_by_parity", "uniform_path_length"],
+            ),
+        ],
+        ids=["dropped-arc", "level-skipping-arc"],
+    )
+    def test_tampering_fails_exactly_these_claims(self, sig, drop, add, failing):
+        g = build_graph(sig, GraphKind.HASSE)
+        index = {v: i for i, v in enumerate(g.nodes)}
+        drop_arcs = {(index[a], index[b]) for a, b in drop}
+        add_arcs = [(index[a], index[b]) for a, b in add]
+        arcs = sorted([arc for arc in g.arcs if arc not in drop_arcs] + add_arcs)
+        assert len(arcs) == len(g.arcs) - len(drop) + len(add)
+        tampered = type(g)(signature=g.signature, kind=g.kind, nodes=g.nodes, arcs=arcs)
+        assert verify_structure(tampered).failures() == failing
 
 
 class TestTransitiveReduction:

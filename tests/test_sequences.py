@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from divgraph import signatures
 from divgraph.errors import BFileFormatError
 from divgraph.invariants import all_invariants
 from divgraph.sequences import (
+    INVARIANT_FUNCS,
     EmitFormat,
     Ordering,
     compare_bfile,
@@ -64,7 +66,7 @@ class TestGenerate:
             "VO": "v_odd", "EE": "e_even", "EO": "e_odd",
             "ET": "closure_size", "PT": "closure_paths",
         }
-        count = 40
+        count = 2000
         tables = {
             name: generate(name, Ordering.NATURAL, count).values()
             for name in field_by_name
@@ -73,6 +75,16 @@ class TestGenerate:
             rec = all_invariants(signature_of(n))
             for name, field in field_by_name.items():
                 assert tables[name][n - 1] == getattr(rec, field), (name, n)
+
+    def test_natural_order_never_factorizes(self, monkeypatch):
+        # natural order reads every signature off one sieve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorize called")
+
+        monkeypatch.setattr(signatures, "factorize", forbidden)
+        for name in INVARIANT_FUNCS:
+            if name != "LI":
+                assert len(generate(name, Ordering.NATURAL, 500).entries) == 500
 
     def test_orders_agree_on_first_22(self):
         for name in ["V", "EH", "We", "PH", "LI"]:
