@@ -81,7 +81,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if n is not None:
         extras = {"height": record.big_omega, "n": n, "signature": key}
     else:
-        extras = {"height": record.big_omega, "signature": key, "LI": least_integer(bounds)}
+        li = least_integer(bounds, bound=None)  # exact, like PH and PT
+        extras = {"height": record.big_omega, "signature": key, "LI": li}
     if args.format == "json":
         _write_out(json.dumps({**values, **extras}) + "\n", args.out)
     else:

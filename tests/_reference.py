@@ -1,15 +1,16 @@
 """Independent routes to invariants, kept only to cross-check the library.
 
 Each recomputes a quantity that divgraph computes another way: by a
-recursion instead of a closed form, or by exhaustive search on an explicit
-graph instead of a DP.
+recursion instead of a closed form, by exhaustive search on an explicit
+graph instead of a DP, or by trial division instead of Miller–Rabin and
+Pollard's rho.
 """
 
 import itertools
 import math
 
 from divgraph.graphs import DivisorGraph, GraphKind
-from divgraph.signatures import as_signature
+from divgraph.signatures import INT_BOUND, as_signature
 
 
 def _canon(parts):
@@ -86,3 +87,37 @@ def transitive_reduction_arcs(gT: DivisorGraph) -> set[tuple[int, int]]:
         if not any((a, c) in arc_set and (c, b) in arc_set for c in range(a + 1, b)):
             kept.add((a, b))
     return kept
+
+
+def factorize_by_trial_division(n: int, *, bound: int = INT_BOUND):
+    """Prime factorization of ``n`` as ((p1, m1), (p2, m2), ...) with p1 < p2 < ...
+
+    Deterministic trial division by 2 and every odd number up to the square
+    root of what is left; the bound is checked up front.
+    """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1 or n > bound:
+        raise ValueError(f"n out of range [1, {bound}]: {n}")
+    pairs = []
+    rest = n
+    for p in _trial_candidates():
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            pairs.append((p, e))
+    if rest > 1:
+        pairs.append((rest, 1))
+    return tuple(pairs)
+
+
+def _trial_candidates():
+    yield 2
+    c = 3
+    while True:
+        yield c
+        c += 2

@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, and output determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,28 @@ class TestInvariants:
         monkeypatch.setattr(cli, "factorize", counting)
         assert run(capsys, "invariants", *argv) == (0, stdout, "")
         assert len(calls) == (1 if argv[0] == "--n" else 0)
+
+    @pytest.mark.parametrize(
+        "n, signature, V",
+        [(9223372036854775783, "1", 2), (3037000453 * 3037000493, "1.1", 4)],
+        ids=["largest-63-bit-prime", "balanced-semiprime"],
+    )
+    def test_any_63_bit_n_within_cap(self, capsys, n, signature, V):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--n", str(n), "--format", "json")
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["n"], payload["signature"], payload["V"]) == (n, signature, V)
+
+    def test_least_integer_beyond_64_bits_is_exact(self, capsys):
+        argv = ("invariants", "--sig", "80", "--omega-budget", "100")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("signature = 80\nLI = 1208925819614629174706176\n")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["LI"] == 2**80
 
     def test_bad_signature_syntax(self, capsys):
         code, _, err = run(capsys, "invariants", "--sig", "2.x.1")

@@ -1,6 +1,7 @@
 """Factorization, signatures, partitions, and the two signature orders."""
 
 import math
+import time
 from functools import lru_cache
 
 import pytest
@@ -22,6 +23,7 @@ from divgraph.signatures import (
     spf_sieve,
 )
 
+from _reference import factorize_by_trial_division
 from fixtures.signature_orders import CANONICAL_30, FIRST_SHARED, GRADED_COLEX_30
 
 
@@ -50,6 +52,42 @@ class TestFactorize:
         assert primes == sorted(primes)
         assert len(set(primes)) == len(primes)
         assert all(e >= 1 for _, e in pairs)
+
+
+# Exact factorizations, most out of trial division's reach in reasonable time,
+# plus composites that fool Miller–Rabin on a few bases.
+HARD_CASES = [
+    (9223372036854775783, ((9223372036854775783, 1),)),  # largest prime below 2^63
+    (2**63 - 1, ((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1))),
+    (3037000453 * 3037000493, ((3037000453, 1), (3037000493, 1))),  # balanced semiprime
+    ((2**31 - 1) ** 2, ((2**31 - 1, 2),)),
+    (2097143**3, ((2097143, 3),)),
+    # strong pseudoprime to every prime base 2..23
+    (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
+    (3215031751, ((151, 1), (751, 1), (28351, 1))),  # strong pseudoprime to 2, 3, 5, 7
+    (561, ((3, 1), (11, 1), (17, 1))),  # Carmichael number
+]
+
+
+class TestFactorizeAgainstTrialDivision:
+    def test_every_n_up_to_1e5(self):
+        for n in range(1, 100_001):
+            assert factorize(n) == factorize_by_trial_division(n), n
+
+    @given(st.integers(min_value=1, max_value=10**10))
+    def test_random_n_up_to_1e10(self, n):
+        assert factorize(n) == factorize_by_trial_division(n)
+
+    @pytest.mark.parametrize("n, pairs", HARD_CASES, ids=[str(n) for n, _ in HARD_CASES])
+    def test_exact_factorization(self, n, pairs):
+        assert factorize(n) == pairs
+        assert factorization_value(pairs) == n
+
+    def test_hard_cases_finish_within_cap(self):
+        start = time.perf_counter()
+        for n, _ in HARD_CASES:
+            factorize(n)
+        assert time.perf_counter() - start < 3.0
 
 
 class TestSignatureOf:
