@@ -130,6 +130,8 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         "both": (conj.DisjointMode.NODE, conj.DisjointMode.ARC),
     }[args.mode]
     if args.id == 1:
+        if args.max_omega < 1:
+            raise ValueError(f"--max-omega must be at least 1, got {args.max_omega}")
         sigs = [s for k in range(1, args.max_omega + 1) for s in partitions_of(k)]
         scope = f"all signatures with 1 <= Omega <= {args.max_omega}"
     elif args.id == 2:

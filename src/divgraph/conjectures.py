@@ -1,16 +1,25 @@
 """Scanning machinery for the three conjectures about divisor graphs.
 
 1. The maximum number of pairwise disjoint source-to-sink paths in a Hasse
-   diagram equals the number of distinct primes (checked for node- and
-   arc-disjoint readings separately).
+   diagram equals the number of distinct primes (node- and arc-disjoint).
 2. The node width is attained at the middle level ceil(Omega/2).
 3. Some level maximizes the node count and the leaving-arc count at once
    (argmax sets over levels 0..Omega-1 intersect).
 
-Conjecture 2 is a theorem: the divisor lattice is a product of chains, which
-has a symmetric chain decomposition (de Bruijn, van Ebbenhorst Tengbergen
-and Kruyswijk, 1951), so its level sizes are symmetric and unimodal and the
-middle level is a largest one.  Its scan stays as a regression check.
+All three are theorems; their scans stay as regression checks of the graph
+builder and the formulas.  Conjecture 1: every path leaves the source by one
+of its omega arcs, so at most omega paths are disjoint.  Chain i raises
+coordinate i to its bound, then i+1, and so on cyclically; an internal node
+of chain i is nonzero on a cyclic interval of coordinates that starts at i,
+so the omega chains share no internal node and Menger's theorem (1927)
+gives exactly omega.  ``max_disjoint_paths`` checks that certificate on the
+built graph.  Conjecture 2: the lattice is a product of chains, which has a
+symmetric chain decomposition (de Bruijn, van Ebbenhorst Tengbergen and
+Kruyswijk, 1951), so its level sizes are symmetric and unimodal.
+Conjecture 3: the arcs leaving level l number sum_i N^(i)_l, where N^(i) is
+the rank sequence with m_i lowered by 1; each is symmetric about
+(Omega-1)/2 and unimodal, so the arc counts peak at floor((Omega-1)/2) and
+ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).
 
 Scans never assert truth; they produce reports, and an empty counterexample
 list is evidence on the scanned range only.
@@ -21,13 +30,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from divgraph._kernels_py import _strides
 from divgraph.errors import BudgetError
-from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
+from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph, graph_order
 from divgraph.invariants import level_arc_counts, level_node_counts
 from divgraph.signatures import as_signature
 
@@ -38,68 +47,44 @@ class DisjointMode(Enum):
 
 
 def max_disjoint_paths(g: DivisorGraph, mode: DisjointMode) -> int:
-    """Maximum number of pairwise disjoint source-to-sink paths.
+    """Maximum number of pairwise disjoint source-to-sink paths: omega.
 
-    Computed as a unit-capacity max flow; the node-disjoint reading splits
-    every internal node into an in/out pair joined by a capacity-one arc.
+    Checks the certificate of conjecture 1 on ``g`` and returns
+    ``len(g.signature)``; both readings share it, because internally
+    node-disjoint paths are arc-disjoint and ``mode`` changes neither bound.
+    Upper bound: exactly omega arcs of ``g.arcs`` leave node 0.  Lower bound:
+    for each coordinate i, the chain that raises coordinate i to its bound,
+    then i+1, and so on cyclically, runs from node 0 to the last node over
+    arcs of ``g``, and no two chains share an internal node.  Raises
+    ``ValueError`` when either check fails, which only a hand-built graph
+    can do.
     """
     if g.kind is not GraphKind.HASSE:
         raise ValueError("max_disjoint_paths expects a Hasse diagram")
     n = len(g.nodes)
     if n < 2:
         raise ValueError("disjoint paths are undefined for the empty signature")
-    if mode is DisjointMode.ARC:
-        size = n
-        edges = [(a, b, 1) for a, b in g.arcs]
-        source, sink = 0, n - 1
-    else:
-        # v_in = 2v, v_out = 2v + 1; source and sink are not capacity-limited
-        size = 2 * n
-        big = len(g.signature) + 1
-        edges = [(2 * v, 2 * v + 1, 1 if 0 < v < n - 1 else big) for v in range(n)]
-        edges += [(2 * a + 1, 2 * b, 1) for a, b in g.arcs]
-        source, sink = 0, 2 * n - 1
-    return _max_flow(size, edges, source, sink)
-
-
-def _max_flow(n: int, edges: Sequence[tuple[int, int, int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on an explicit edge list with integer capacities."""
-    head: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b, c in edges:
-        adj[a].append(len(head))
-        head.append(b)
-        cap.append(c)
-        adj[b].append(len(head))
-        head.append(a)
-        cap.append(0)
-    flow = 0
-    while True:
-        parent_edge = [-1] * n
-        parent_edge[source] = -2
-        queue = deque([source])
-        while queue and parent_edge[sink] == -1:
-            v = queue.popleft()
-            for e in adj[v]:
-                if cap[e] > 0 and parent_edge[head[e]] == -1:
-                    parent_edge[head[e]] = e
-                    queue.append(head[e])
-        if parent_edge[sink] == -1:
-            return flow
-        bottleneck = None
-        v = sink
-        while v != source:
-            e = parent_edge[v]
-            bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
-            v = head[e ^ 1]
-        v = sink
-        while v != source:
-            e = parent_edge[v]
-            cap[e] -= bottleneck
-            cap[e ^ 1] += bottleneck
-            v = head[e ^ 1]
-        flow += bottleneck
+    bounds = g.signature
+    w = len(bounds)
+    if n != graph_order(bounds) or min(bounds) < 1:
+        raise ValueError(f"{n} nodes do not match the bounds {bounds!r}")
+    if sum(1 for a, _ in g.arcs if a == 0) != w:
+        raise ValueError(f"the source does not have exactly {w} out-arcs")
+    arcs = set(g.arcs)
+    strides = _strides(bounds)
+    seen: set[int] = set()
+    for i in range(w):
+        v = 0
+        for k in (*range(i, w), *range(i)):
+            for _ in range(bounds[k]):
+                if (v, v + strides[k]) not in arcs:
+                    raise ValueError(f"chain {i} misses the arc ({v}, {v + strides[k]})")
+                v += strides[k]
+                if v in seen:
+                    raise ValueError(f"two chains share node {v}")
+                if v != n - 1:
+                    seen.add(v)
+    return w
 
 
 def check_middle_width(parts: Iterable[int]) -> bool:

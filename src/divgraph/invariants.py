@@ -157,7 +157,11 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     exponent increments summing to m_k, so there are M(j) = prod_k
     C(m_k+j-1, j-1) of them.  Inclusion-exclusion over the steps allowed to
     stay put leaves sum_j (-1)^(l-j) C(l, j) M(j) strict chains of length l
-    (Stanley, EC1 section 3.12); summing over l = 1..Omega gives the total.
+    (Stanley, EC1 section 3.12).  Summing over l = 1..Omega and swapping the
+    sums gives sum_j T(j) M(j) with T(j) = sum_{l=j..Omega} (-1)^(l-j) C(l, j).
+    T(0) is 1 for even Omega and 0 for odd, and Pascal's rule gives
+    2 T(j) = T(j-1) + (-1)^(Omega-j) C(Omega+1, j), so every term follows
+    from the one before in O(omega) big-integer steps.
     The one-node and two-node graphs have a single path.
     """
     sig = as_signature(parts)
@@ -166,14 +170,16 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
         raise BudgetError(f"Omega {total} exceeds omega budget {omega_budget}")
     if total <= 1:
         return 1
-    multichains = [0] + [
-        math.prod(math.comb(m + j - 1, j - 1) for m in sig) for j in range(1, total + 1)
-    ]
-    return sum(
-        (-1) ** (l - j) * math.comb(l, j) * multichains[j]
-        for l in range(1, total + 1)
-        for j in range(1, l + 1)
-    )
+    t = 1 - total % 2  # T(0)
+    comb = 1  # C(Omega+1, j)
+    steps = [1] * len(sig)  # C(m_k+j-1, j-1)
+    paths = 0
+    for j in range(1, total + 1):
+        comb = comb * (total + 2 - j) // j
+        t = (t + (comb if (total - j) % 2 == 0 else -comb)) // 2
+        paths += t * math.prod(steps)
+        steps = [c * (m + j) // j for c, m in zip(steps, sig)]
+    return paths
 
 
 def height(parts: Iterable[int]) -> int:

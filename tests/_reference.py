@@ -1,14 +1,16 @@
 """Independent routes to invariants, kept only to cross-check the library.
 
 Each recomputes a quantity that divgraph computes another way: by a
-recursion instead of a closed form, by exhaustive search on an explicit
-graph instead of a DP, or by trial division instead of Miller–Rabin and
-Pollard's rho.
+recursion or an unfolded sum instead of a closed form, by exhaustive search
+on an explicit graph instead of a DP, by a max flow instead of a
+certificate, or by trial division instead of Miller–Rabin and Pollard's rho.
 """
 
 import itertools
 import math
+from collections import deque
 
+from divgraph.conjectures import DisjointMode
 from divgraph.graphs import DivisorGraph, GraphKind
 from divgraph.signatures import INT_BOUND, as_signature
 
@@ -55,6 +57,84 @@ def closure_size_by_divisor_sum(parts) -> int:
     for v in _vectors_below(sig):
         total += math.prod(c + 1 for c in v) - 1
     return total
+
+
+def closure_paths_double_sum(parts) -> int:
+    """|P^T| as the unfolded inclusion-exclusion double sum.
+
+    Strict chains of length l number sum_j (-1)^(l-j) C(l, j) M(j), where
+    M(j) = prod_k C(m_k+j-1, j-1) counts multichains with j weak steps;
+    every binomial is built from scratch, O(Omega^2) of them.
+    """
+    sig = as_signature(parts)
+    total = sum(sig)
+    if total <= 1:
+        return 1
+    multichains = [0] + [
+        math.prod(math.comb(m + j - 1, j - 1) for m in sig) for j in range(1, total + 1)
+    ]
+    return sum(
+        (-1) ** (l - j) * math.comb(l, j) * multichains[j]
+        for l in range(1, total + 1)
+        for j in range(1, l + 1)
+    )
+
+
+def max_disjoint_paths_by_flow(g: DivisorGraph, mode: DisjointMode) -> int:
+    """Maximum number of disjoint source-to-sink paths of a Hasse diagram,
+    as a unit-capacity max flow.
+
+    The node-disjoint reading splits every internal node into an in/out
+    pair joined by a capacity-one arc.
+    """
+    n = len(g.nodes)
+    if mode is DisjointMode.ARC:
+        return _max_flow(n, [(a, b, 1) for a, b in g.arcs], 0, n - 1)
+    # v_in = 2v, v_out = 2v + 1; source and sink are not capacity-limited
+    big = len(g.signature) + 1
+    edges = [(2 * v, 2 * v + 1, 1 if 0 < v < n - 1 else big) for v in range(n)]
+    edges += [(2 * a + 1, 2 * b, 1) for a, b in g.arcs]
+    return _max_flow(2 * n, edges, 0, 2 * n - 1)
+
+
+def _max_flow(n, edges, source, sink) -> int:
+    """Edmonds-Karp on an explicit edge list with integer capacities."""
+    head: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b, c in edges:
+        adj[a].append(len(head))
+        head.append(b)
+        cap.append(c)
+        adj[b].append(len(head))
+        head.append(a)
+        cap.append(0)
+    flow = 0
+    while True:
+        parent_edge = [-1] * n
+        parent_edge[source] = -2
+        queue = deque([source])
+        while queue and parent_edge[sink] == -1:
+            v = queue.popleft()
+            for e in adj[v]:
+                if cap[e] > 0 and parent_edge[head[e]] == -1:
+                    parent_edge[head[e]] = e
+                    queue.append(head[e])
+        if parent_edge[sink] == -1:
+            return flow
+        bottleneck = None
+        v = sink
+        while v != source:
+            e = parent_edge[v]
+            bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
+            v = head[e ^ 1]
+        v = sink
+        while v != source:
+            e = parent_edge[v]
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
+            v = head[e ^ 1]
+        flow += bottleneck
 
 
 def count_paths_dfs(g: DivisorGraph) -> int:

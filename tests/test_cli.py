@@ -298,6 +298,13 @@ class TestConjectures:
         assert payload["counterexamples"] == []
         assert payload["checked"] > 0
 
+    @pytest.mark.parametrize("max_omega", ["0", "-3"])
+    def test_vacuous_conjecture_1_scan_rejected(self, capsys, max_omega):
+        code, out, err = run(capsys, "conjectures", "--id", "1", "--max-omega", max_omega)
+        assert code == 1
+        assert out == ""
+        assert "--max-omega must be at least 1" in err
+
     def test_conjecture_2_scan(self, capsys):
         code, out, _ = run(capsys, "conjectures", "--id", "2", "--max-n", "2000")
         assert code == 0

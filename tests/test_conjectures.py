@@ -1,5 +1,6 @@
-"""Disjoint-path flows, the two width checks, and the scan reports."""
+"""The disjoint-path certificate, the two width checks, and the scan reports."""
 
+import dataclasses
 import itertools
 import json
 
@@ -15,6 +16,8 @@ from divgraph.conjectures import (
 )
 from divgraph.graphs import GraphKind, build_graph
 from divgraph.signatures import partitions_of
+
+from _reference import max_disjoint_paths_by_flow
 
 
 def _brute_force_disjoint(sig, mode):
@@ -91,6 +94,39 @@ class TestMaxDisjointPaths:
         for bounds in [(2, 3, 1), (1, 2, 3), (3, 2, 1)]:
             g = build_graph(bounds, GraphKind.HASSE)
             assert max_disjoint_paths(g, DisjointMode.NODE) == 3
+
+    @pytest.mark.parametrize("omega", range(1, 9))
+    def test_equals_reference_flow(self, omega):
+        for sig in partitions_of(omega):
+            for bounds in set(itertools.permutations(sig)):
+                g = build_graph(bounds, GraphKind.HASSE)
+                for mode in DisjointMode:
+                    expected = max_disjoint_paths_by_flow(g, mode)
+                    assert max_disjoint_paths(g, mode) == expected, (bounds, mode)
+
+    @pytest.mark.parametrize(
+        "bounds,tamper",
+        [
+            # (2, 1, 1) has strides (4, 2, 1); chain 0 runs 0, 4, 8, 10, 11
+            pytest.param(
+                (2, 1, 1),
+                lambda g: {"arcs": [a for a in g.arcs if a != (4, 8)]},
+                id="chain-arc-dropped",
+            ),
+            pytest.param(
+                (2, 1, 1), lambda g: {"arcs": sorted(g.arcs + [(0, 3)])}, id="extra-source-arc"
+            ),
+            pytest.param((2, 1, 1), lambda g: {"nodes": g.nodes[:-1]}, id="node-count-mismatch"),
+            # a lone chain meets no other, so only the node-count check catches this
+            pytest.param((3,), lambda g: {"nodes": g.nodes[:-1]}, id="node-count-mismatch-chain"),
+        ],
+    )
+    def test_tampered_graph_raises(self, bounds, tamper):
+        g = build_graph(bounds, GraphKind.HASSE)
+        bad = dataclasses.replace(g, **tamper(g))
+        for mode in DisjointMode:
+            with pytest.raises(ValueError):
+                max_disjoint_paths(bad, mode)
 
     def test_empty_signature_rejected(self):
         g = build_graph((), GraphKind.HASSE)
@@ -202,3 +238,12 @@ class TestScan:
         for argv in (["--id", "2", "--max-n", "30"], ["--id", "3", "--colex-count", "5"]):
             assert cli.main(["conjectures", *argv]) == 3
             assert json.loads(capsys.readouterr().out)["counterexamples"]
+
+        monkeypatch.setattr(conjectures, "max_disjoint_paths", lambda g, mode: len(g.signature) + 1)
+        report = scan(1, [(2, 1)])
+        assert report.checked == 1
+        assert report.to_dict()["counterexamples"] == [
+            {"signature": [2, 1], "observed": {"node": 3, "arc": 3}, "expected": 2}
+        ]
+        assert cli.main(["conjectures", "--id", "1", "--max-omega", "3"]) == 3
+        assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == 6  # partitions of 1, 2, 3

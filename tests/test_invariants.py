@@ -1,6 +1,7 @@
 """Closed formulas: worked examples, dual-route cross-checks, and properties."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +26,11 @@ from divgraph.invariants import (
 from divgraph.signatures import partitions_of
 
 from _corpus import small_corpus
-from _reference import closure_size_by_divisor_sum, hasse_paths_recursive
+from _reference import (
+    closure_paths_double_sum,
+    closure_size_by_divisor_sum,
+    hasse_paths_recursive,
+)
 
 signatures = st.lists(st.integers(min_value=1, max_value=5), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -192,6 +197,19 @@ class TestClosurePaths:
     def test_prime_power_gives_compositions(self):
         for m in range(1, 41):
             assert closure_paths((m,)) == 2 ** (m - 1), m
+
+    def test_folded_sum_equals_double_sum(self):
+        sigs = [p for k in range(19) for p in partitions_of(k)]
+        assert len(sigs) == 1597
+        sigs += [(99,), (1,) * 40, (5, 4, 3, 2, 1) * 8]
+        for sig in sigs:
+            assert closure_paths(sig, omega_budget=120) == closure_paths_double_sum(sig), sig
+
+    def test_raised_budget_finishes_within_cap(self):
+        # the unfolded double sum takes about 100 s on this input
+        start = time.perf_counter()
+        assert closure_paths((2000,), omega_budget=5000) == 2**1999
+        assert time.perf_counter() - start < 3.0
 
     def test_literal_divisor_recursion_agrees(self):
         # f(n) = sum of f(v) over proper divisors v, computed over concrete
