@@ -5,7 +5,7 @@ The package covers four layers:
 - signatures: factorization, prime signatures, partition enumeration, and
   the graded colexicographic / canonical signature orders;
 - graphs + kernels: explicit Hasse diagrams and transitive closures over
-  exponent vectors, built by stride arithmetic on the node indices;
+  exponent vectors, built by arithmetic on lexicographic node indices;
 - invariants + oracle: fourteen graph invariants by closed formula and by
   brute-force measurement on the explicit graphs;
 - sequences + conjectures + cli: integer-sequence tables in three orders,

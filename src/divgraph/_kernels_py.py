@@ -2,8 +2,10 @@
 
 Nodes are exponent vectors below ``bounds``, indexed by their position in
 lexicographic order, so every arc (tail, head) satisfies tail < head and
-the index order is already topological.  Both arc kernels reach a head by
-adding stride offsets to the tail's index, so neither scans node pairs.
+the index order is already topological.  Neither arc kernel scans node
+pairs: a Hasse head is the tail's index plus one coordinate's stride, and
+a closure tail's heads are its up-set, built by shifting the up-sets of
+the later coordinates.
 """
 
 from __future__ import annotations
@@ -28,24 +30,33 @@ def _strides(bounds: tuple[int, ...]) -> list[int]:
 
 def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     """Arcs of the transitive closure: every ordered pair a < b with a
-    componentwise below b.
+    componentwise below b, sorted by tail, heads ascending.
 
-    The heads of tail v are v + d for every nonzero d with
-    0 <= d[k] <= bounds[k] - v[k]; their index offsets are sums of stride
-    multiples.  ``itertools.product`` walks the d in lexicographic order,
-    so each tail's heads come out ascending and the work is linear in the
-    arc count.
+    The up-set of a node is the node itself followed by every node above
+    it, ascending.  Up-sets are built one coordinate at a time, last
+    coordinate first: if ``size`` nodes span the coordinates done so far,
+    the up-set of (x, y) is the up-set of y shifted by x'*size for each
+    x' = x..m in turn.  Walking x down from m, each up-set is the previous
+    one with one shifted copy in front, so the per-element work runs in
+    ``map`` and list concatenation.  A tail's arcs are its up-set minus
+    itself; the work is linear in the arc count.
     """
     if not bounds:
         return []
-    strides = _strides(bounds)
+    ups = [[0]]  # the up-set of the one node over no coordinates
+    size = 1
+    for m in reversed(bounds):
+        new = [None] * ((m + 1) * size)
+        for j, up in enumerate(ups):
+            acc: list[int] = []
+            for x in range(m, -1, -1):
+                acc = list(map((x * size).__add__, up)) + acc
+                new[x * size + j] = acc
+        ups = new
+        size *= m + 1
     arcs: list[tuple[int, int]] = []
-    for i, v in enumerate(enumerate_nodes(bounds)):
-        offsets = itertools.product(
-            *(range(0, (m - x) * s + 1, s) for x, m, s in zip(v, bounds, strides))
-        )
-        next(offsets)  # the zero offset is the tail itself
-        arcs.extend((i, i + sum(d)) for d in offsets)
+    for i, up in enumerate(ups):
+        arcs.extend(zip(itertools.repeat(i), itertools.islice(up, 1, None)))
     return arcs
 
 

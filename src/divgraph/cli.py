@@ -2,8 +2,10 @@
 
 Subcommands: invariants, sequence, graph, compare, conjectures.  Each
 budget comes from its flag, else from the environment (DIVGRAPH_NODE_BUDGET,
-DIVGRAPH_OMEGA_BUDGET), else from the library default.  All numeric output
-is full decimal.
+DIVGRAPH_ARC_BUDGET, DIVGRAPH_OMEGA_BUDGET), else from the library default.
+The arc budget bounds the arcs of a ``graph --kind closure`` and is checked
+before the closure is built.  All numeric output is full decimal, however
+many digits it has.
 
 Exit codes: 0 success; 1 an error (bad input, budget exceeded) or, for
 compare, a value mismatch; 2 a command-line usage error or, for compare, an
@@ -13,6 +15,8 @@ input it cannot compare against; 3 a conjecture counterexample was found.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -70,6 +74,22 @@ def _write_out(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lift the interpreter's int-to-str digit limit (Python 3.11, and the
+    3.10 security releases) for the duration, then restore it."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_invariants(args: argparse.Namespace) -> int:
     bounds, n = _resolve_target(args)
     omega_budget = _budget(
@@ -83,12 +103,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     else:
         li = least_integer(bounds, bound=None)  # exact, like PH and PT
         extras = {"height": record.big_omega, "signature": key, "LI": li}
-    if args.format == "json":
-        _write_out(json.dumps({**values, **extras}) + "\n", args.out)
-    else:
-        lines = [f"{k} = {v}" for k, v in values.items()]
-        lines += [f"{k} = {v}" for k, v in extras.items()]
-        _write_out("\n".join(lines) + "\n", args.out)
+    with _no_int_digit_limit():  # LI, PH and PT may pass the limit
+        if args.format == "json":
+            text = json.dumps({**values, **extras}) + "\n"
+        else:
+            text = "".join(f"{k} = {v}\n" for k, v in {**values, **extras}.items())
+    _write_out(text, args.out)
     return 0
 
 
@@ -103,7 +123,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     bounds, _ = _resolve_target(args)
     kind = graphs.GraphKind(args.kind)
     node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
-    g = graphs.build_graph(bounds, kind, node_budget=node_budget)
+    arc_budget = _budget(args.arc_budget, "DIVGRAPH_ARC_BUDGET", graphs.DEFAULT_ARC_BUDGET)
+    g = graphs.build_graph(bounds, kind, node_budget=node_budget, arc_budget=arc_budget)
     text = graphs.to_dot(g) if args.format == "dot" else graphs.to_json(g) + "\n"
     _write_out(text, args.out)
     return 0
@@ -180,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--kind", choices=[k.value for k in graphs.GraphKind], default="hasse")
     p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
     p_graph.add_argument("--node-budget", type=int, default=None)
+    p_graph.add_argument("--arc-budget", type=int, default=None)
     p_graph.add_argument("--out", type=str, default=None)
     p_graph.set_defaults(func=cmd_graph)
 
@@ -204,9 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, BudgetError) as exc:

@@ -2,7 +2,7 @@
 
 
 class BudgetError(RuntimeError):
-    """A configured capacity limit (node budget, omega budget) would be exceeded."""
+    """A configured capacity limit (node, arc or omega budget) would be exceeded."""
 
 
 class BFileFormatError(ValueError):

@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from divgraph import kernels
+from divgraph import invariants, kernels
 from divgraph.errors import BudgetError
 from divgraph.signatures import INT_BOUND, Factorization
 
 DEFAULT_NODE_BUDGET = 10**6
+DEFAULT_ARC_BUDGET = 10**7  # a closure arc costs about 100 bytes
 
 ExponentVector = tuple[int, ...]
 
@@ -72,11 +73,14 @@ def build_graph(
     kind: GraphKind,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    arc_budget: int = DEFAULT_ARC_BUDGET,
 ) -> DivisorGraph:
     """Construct the Hasse diagram or transitive closure for the given bounds.
 
     ``bounds`` is an exponent tuple; any coordinate order is accepted and
-    preserved, so vectors line up with a factorization's prime order.
+    preserved, so vectors line up with a factorization's prime order.  The
+    node count, and for a closure its arc count by the ``closure_size``
+    formula, are checked against the budgets before anything is built.
     """
     bounds = tuple(bounds)
     for m in bounds:
@@ -85,6 +89,10 @@ def build_graph(
     n = graph_order(bounds)
     if n > node_budget:
         raise BudgetError(f"graph on {n} nodes exceeds node budget {node_budget}")
+    if kind is GraphKind.CLOSURE:
+        size = invariants.closure_size(bounds)
+        if size > arc_budget:
+            raise BudgetError(f"closure with {size} arcs exceeds arc budget {arc_budget}")
     nodes = kernels.enumerate_nodes(bounds)
     if kind is GraphKind.HASSE:
         arcs = kernels.hasse_arcs(bounds)

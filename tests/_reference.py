@@ -3,13 +3,15 @@
 Each recomputes a quantity that divgraph computes another way: by a
 recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
-certificate, or by trial division instead of Miller–Rabin and Pollard's rho.
+certificate, by trial division instead of Miller–Rabin and Pollard's rho,
+or by stride-offset sums instead of shifted up-sets.
 """
 
 import itertools
 import math
 from collections import deque
 
+from divgraph._kernels_py import _strides, enumerate_nodes
 from divgraph.conjectures import DisjointMode
 from divgraph.graphs import DivisorGraph, GraphKind
 from divgraph.signatures import INT_BOUND, as_signature
@@ -201,3 +203,26 @@ def _trial_candidates():
     while True:
         yield c
         c += 2
+
+
+def closure_arcs_by_strides(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Arcs of the transitive closure: every ordered pair a < b with a
+    componentwise below b.
+
+    The heads of tail v are v + d for every nonzero d with
+    0 <= d[k] <= bounds[k] - v[k]; their index offsets are sums of stride
+    multiples.  ``itertools.product`` walks the d in lexicographic order,
+    so each tail's heads come out ascending and the work is linear in the
+    arc count.
+    """
+    if not bounds:
+        return []
+    strides = _strides(bounds)
+    arcs: list[tuple[int, int]] = []
+    for i, v in enumerate(enumerate_nodes(bounds)):
+        offsets = itertools.product(
+            *(range(0, (m - x) * s + 1, s) for x, m, s in zip(v, bounds, strides))
+        )
+        next(offsets)  # the zero offset is the tail itself
+        arcs.extend((i, i + sum(d)) for d in offsets)
+    return arcs

@@ -1,12 +1,13 @@
 """Subcommand behavior, exit codes, and output determinism."""
 
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from divgraph import cli, signatures
+from divgraph import cli, kernels, signatures
 from divgraph.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -113,6 +114,27 @@ class TestInvariants:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["LI"] == 2**80
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_integers_past_the_digit_limit_print_exactly(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        argv = ("invariants", "--sig", "14290", "--omega-budget", "20000", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            if fmt == "json":
+                values = json.loads(out)
+            else:
+                values = dict(line.split(" = ") for line in out.splitlines())
+            li, pt = int(values["LI"]), int(values["PT"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (li, pt) == (2**14290, 2**14289)
 
     def test_bad_signature_syntax(self, capsys):
         code, _, err = run(capsys, "invariants", "--sig", "2.x.1")
@@ -228,12 +250,59 @@ class TestGraph:
         assert code == 1
         assert "budget 3" in err
 
+    def test_closure_over_arc_budget_refused_before_building(self, capsys, monkeypatch):
+        def refuse(bounds):
+            raise AssertionError("built a graph over the arc budget")
+
+        monkeypatch.setattr(kernels, "enumerate_nodes", refuse)
+        monkeypatch.setattr(kernels, "closure_arcs", refuse)
+        # 2^19 nodes pass the node budget; the closure has 3^19 - 2^19 arcs
+        code, out, err = run(capsys, "graph", "--sig", ".".join(["1"] * 19), "--kind", "closure")
+        assert (code, out) == (1, "")
+        assert "1161737179 arcs exceeds arc budget 10000000" in err
+
+    def test_arc_budget_flag_beats_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVGRAPH_ARC_BUDGET", "3")
+        # the closure of 2.1 has 12 arcs
+        code, out, _ = run(capsys, "graph", "--sig", "2.1", "--kind", "closure", "--arc-budget", "12")
+        assert code == 0
+        assert out.count("->") == 12
+        code, _, err = run(capsys, "graph", "--sig", "2.1", "--kind", "closure", "--arc-budget", "11")
+        assert code == 1
+        assert "arc budget 11" in err
+
+    def test_arc_budget_environment_beats_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVGRAPH_ARC_BUDGET", "11")
+        code, _, err = run(capsys, "graph", "--sig", "2.1", "--kind", "closure")
+        assert code == 1
+        assert "arc budget 11" in err
+        # the arc budget bounds closures only
+        code, out, _ = run(capsys, "graph", "--sig", "2.1", "--kind", "hasse")
+        assert code == 0
+        assert out.count("->") == 7
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.dot"
         code, out, _ = run(capsys, "graph", "--n", "6", "--out", str(target))
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("digraph hasse {")
+
+
+class TestInProcess:
+    def test_calls_in_one_process_share_no_state(self, capsys):
+        cli._parser.cache_clear()
+        alone = run(capsys, "invariants", "--sig", "2.1", "--format", "json")
+        assert alone[0] == 0
+        assert run(capsys, "graph", "--sig", "1.1", "--node-budget", "3")[0] == 1
+        assert run(capsys, "graph", "--sig", "1.1")[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["graph", "--sig", "1.1", "--kind", "tree"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "invariants", "--sig", "2.1", "--format", "json") == alone
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestCompare:

@@ -1,6 +1,9 @@
 """The graph-construction kernels against their definitions."""
 
+import itertools
+
 import pytest
+from _reference import closure_arcs_by_strides
 
 from divgraph import _kernels_py, kernels
 from divgraph.signatures import partitions_of
@@ -26,6 +29,25 @@ PARTITION_BOUNDS = sorted(
 )
 
 
+def compositions(k):
+    """Every tuple of positive parts summing to k: one per set of cut points."""
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        yield (*parts, run)
+
+
+# every distinct coordinate order of every partition with Omega <= 9 (511),
+# and the two largest corpus shapes, the second in both coordinate orders
+COMPOSITIONS = [c for k in range(1, 10) for c in compositions(k)]
+LARGE_BOUNDS = [(1,) * 12, (2, 2) + (1,) * 9, (1,) * 9 + (2, 2)]
+
+
 def dominance_scan(bounds):
     """Reference closure: test every node pair a < b for a <= b componentwise."""
     if not bounds:
@@ -44,6 +66,17 @@ def dominance_scan(bounds):
 @pytest.mark.parametrize("bounds", CASES + PARTITION_BOUNDS, ids=str)
 def test_closure_arcs_equal_dominance_scan(bounds):
     assert kernels.closure_arcs(bounds) == dominance_scan(bounds)
+
+
+def test_compositions_are_every_coordinate_order():
+    # 2^(k-1) compositions of each k, so 511 distinct ones with sum <= 9 are all of them
+    assert len(set(COMPOSITIONS)) == len(COMPOSITIONS) == 2**9 - 1
+    assert all(min(c) >= 1 and sum(c) <= 9 for c in COMPOSITIONS)
+
+
+@pytest.mark.parametrize("bounds", COMPOSITIONS + LARGE_BOUNDS, ids=str)
+def test_closure_arcs_equal_stride_kernel(bounds):
+    assert kernels.closure_arcs(bounds) == closure_arcs_by_strides(bounds)
 
 
 def test_backend_reported():
