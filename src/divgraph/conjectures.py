@@ -20,6 +20,9 @@ Conjecture 3: the arcs leaving level l number sum_i N^(i)_l, where N^(i) is
 the rank sequence with m_i lowered by 1; each is symmetric about
 (Omega-1)/2 and unimodal, so the arc counts peak at floor((Omega-1)/2) and
 ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).
+``invariants.level_arc_counts`` computes the arc counts by that same
+identity, from the rank sequence; the tests pin them to the counts that
+``graphs.level_profile`` reads off built Hasse diagrams.
 
 Scans never assert truth; they produce reports, and an empty counterexample
 list is evidence on the scanned range only.
@@ -37,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 from divgraph._kernels_py import _strides
 from divgraph.errors import BudgetError
 from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph, graph_order
-from divgraph.invariants import level_arc_counts, level_node_counts
+from divgraph.invariants import _arc_counts_from, level_arc_counts, level_node_counts
 from divgraph.signatures import as_signature
 
 
@@ -99,11 +102,11 @@ def check_argmax_coincidence(parts: Iterable[int]) -> bool:
     sig = as_signature(parts)
     if not sig:
         raise ValueError("argmax coincidence is undefined for the empty signature")
-    node_counts = level_node_counts(sig)[:-1]  # levels 0..Omega-1
-    arc_counts = level_arc_counts(sig)
-    best_nodes = {l for l, c in enumerate(node_counts) if c == max(node_counts)}
-    best_arcs = {l for l, c in enumerate(arc_counts) if c == max(arc_counts)}
-    return bool(best_nodes & best_arcs)
+    poly = level_node_counts(sig)
+    node_counts = poly[:-1]  # levels 0..Omega-1
+    arc_counts = _arc_counts_from(poly, sig)
+    top_nodes, top_arcs = max(node_counts), max(arc_counts)
+    return any(a == top_arcs for v, a in zip(node_counts, arc_counts) if v == top_nodes)
 
 
 # Each check returns None when the conjecture holds for the signature, else

@@ -1,17 +1,22 @@
 """Closed-form computation of the fourteen divisor-graph invariants.
 
 Everything here is a pure function of the exponent multiset; no graph is
-ever built.  Path counts are exact big integers, all other invariants are
-checked against a 64-bit bound.  ``TABLE`` lists the invariants once; the
-record type, the sequence keys and spellings, and the CLI output all derive
-from it.  The brute-force counterpart that measures the same quantities on
-an explicit graph lives in divgraph.oracle.
+ever built.  Every count is an exact integer.  ``order``, ``hasse_size`` and
+``closure_size`` check their value against a 64-bit bound unless called with
+``bound=None``; ``TABLE`` calls them that way, so the record, the CLI and
+the sequence tables give every count exactly.  ``TABLE`` lists the
+invariants once; the record type, the sequence keys and spellings, and the
+CLI output all derive from it.  The brute-force counterpart that measures
+the same quantities on an explicit graph lives in divgraph.oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, astuple, make_dataclass
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Iterable
 
 from divgraph.errors import BudgetError
@@ -20,19 +25,19 @@ from divgraph.signatures import INT_BOUND, as_signature, big_omega, small_omega
 DEFAULT_OMEGA_BUDGET = 40
 
 
-def _checked(value: int, what: str, bound: int) -> int:
-    if value > bound:
+def _checked(value: int, what: str, bound: int | None) -> int:
+    if bound is not None and value > bound:
         raise ValueError(f"{what} exceeds bound {bound}")
     return value
 
 
-def order(parts: Iterable[int], *, bound: int = INT_BOUND) -> int:
+def order(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
     """Node count: product of (exponent + 1); 1 for the empty signature."""
     sig = as_signature(parts)
     return _checked(math.prod(m + 1 for m in sig), "order", bound)
 
 
-def hasse_size(parts: Iterable[int], *, bound: int = INT_BOUND) -> int:
+def hasse_size(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
     """Arc count of the Hasse diagram, by the peel-one-exponent recursion.
 
     The lattice is a Cartesian product of paths, and the size of a product
@@ -51,11 +56,15 @@ def hasse_size(parts: Iterable[int], *, bound: int = INT_BOUND) -> int:
 
 
 def level_node_counts(parts: Iterable[int]) -> list[int]:
-    """|V_l| for l = 0..Omega: coefficients of prod_i (1 + x + ... + x^m_i)."""
-    sig = as_signature(parts)
+    """|V_l| for l = 0..Omega: coefficients of P(x) = prod_i (1 + x + ... + x^m_i).
+
+    Multiplying by 1 + ... + x^m turns each coefficient into the sum of a
+    window of m+1 old ones; every window is a difference of one running sum.
+    """
     poly = [1]
-    for m in sig:
-        poly = _conv(poly, [1] * (m + 1))
+    for m in as_signature(parts):
+        run = list(accumulate(poly, initial=0))
+        poly = list(map(sub, run[1:] + [run[-1]] * m, [0] * m + run[:-1]))
     return poly
 
 
@@ -63,35 +72,30 @@ def level_arc_counts(parts: Iterable[int]) -> list[int]:
     """Arcs leaving level l for l = 0..Omega-1 (empty list for Omega = 0).
 
     An arc leaving level l bumps some coordinate i with v_i < m_i, so the
-    count is a sum of polynomial coefficients with coordinate i clamped
-    below its bound.
+    count is sum_i N^(i)_l, where N^(i) is the rank sequence with m_i lowered
+    by 1; see ``_arc_counts_from``.
     """
     sig = as_signature(parts)
-    if not sig:
-        return []
-    total = sum(sig)
-    prefix = [[1]]
-    for m in sig:
-        prefix.append(_conv(prefix[-1], [1] * (m + 1)))
-    suffix = [[1]]
-    for m in reversed(sig):
-        suffix.append(_conv(suffix[-1], [1] * (m + 1)))
-    suffix.reverse()
+    return _arc_counts_from(level_node_counts(sig), sig)
+
+
+def _arc_counts_from(poly: list[int], sig: tuple[int, ...]) -> list[int]:
+    """Arc counts of ``sig`` from its rank sequence ``poly``.
+
+    N^(i) = P(x) (1 - x^m_i) / (1 - x^(m_i+1)), cut to its first Omega
+    coefficients.  Dividing by 1 - x^(m+1) is a running sum over every
+    (m+1)-th coefficient; each distinct part is done once and weighted by
+    its multiplicity.
+    """
+    total = len(poly) - 1
     counts = [0] * total
-    for i, m in enumerate(sig):
-        others = _conv(prefix[i], suffix[i + 1])
-        clamped = _conv(others, [1] * m)  # coordinate i ranges over 0..m_i-1
-        for l, c in enumerate(clamped):
-            counts[l] += c
+    for m, mult in Counter(sig).items():
+        quot = [0] * total
+        for r in range(m + 1):
+            quot[r :: m + 1] = accumulate(poly[r:total : m + 1])
+        lowered = quot[:m] + list(map(sub, quot[m:], quot))
+        counts = list(map(add, counts, map(mul, lowered, repeat(mult))))
     return counts
-
-
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def width_nodes(parts: Iterable[int]) -> int:
@@ -126,17 +130,17 @@ def hasse_paths(parts: Iterable[int]) -> int:
 
 def node_parity(parts: Iterable[int]) -> tuple[int, int]:
     """(|V_E|, |V_O|): nodes on even and odd levels; |V_O| = floor(|V|/2)."""
-    n = order(parts)
+    n = order(parts, bound=None)
     return n - n // 2, n // 2
 
 
 def arc_parity(parts: Iterable[int]) -> tuple[int, int]:
     """(|E_E|, |E_O|) by tail-level parity; |E_O| = floor(|E^H|/2)."""
-    e = hasse_size(parts)
+    e = hasse_size(parts, bound=None)
     return e - e // 2, e // 2
 
 
-def closure_size(parts: Iterable[int], *, bound: int = INT_BOUND) -> int:
+def closure_size(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
     """Arc count of the transitive closure, in closed form.
 
     Summing the divisor-count function over the lattice gives
@@ -166,8 +170,7 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     """
     sig = as_signature(parts)
     total = sum(sig)
-    if total > omega_budget:
-        raise BudgetError(f"Omega {total} exceeds omega budget {omega_budget}")
+    _check_omega(total, omega_budget)
     if total <= 1:
         return 1
     t = 1 - total % 2  # T(0)
@@ -182,6 +185,11 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     return paths
 
 
+def _check_omega(total: int, omega_budget: int) -> None:
+    if total > omega_budget:
+        raise BudgetError(f"Omega {total} exceeds omega budget {omega_budget}")
+
+
 def height(parts: Iterable[int]) -> int:
     """Longest (equivalently shortest) source-to-sink path length: Omega."""
     return big_omega(parts)
@@ -192,8 +200,8 @@ def height(parts: Iterable[int]) -> int:
 #: A name resolves to a key when it equals the key or, lowercased, one of the
 #: spellings.
 TABLE = (
-    ("V", "order", order, ("|v|", "v")),
-    ("EH", "hasse_size", hasse_size, ("|e^h|", "e^h", "eh")),
+    ("V", "order", lambda s: order(s, bound=None), ("|v|", "v")),
+    ("EH", "hasse_size", lambda s: hasse_size(s, bound=None), ("|e^h|", "e^h", "eh")),
     ("Omega", "big_omega", height, ("bigomega",)),
     ("omega", "small_omega", small_omega, ("smallomega",)),
     ("Wv", "width_nodes", width_nodes, ("w_v", "wv")),
@@ -204,7 +212,7 @@ TABLE = (
     ("VO", "v_odd", lambda s: node_parity(s)[1], ("|v_o|", "v_o", "vo")),
     ("EE", "e_even", lambda s: arc_parity(s)[0], ("|e_e|", "e_e", "ee")),
     ("EO", "e_odd", lambda s: arc_parity(s)[1], ("|e_o|", "e_o", "eo")),
-    ("ET", "closure_size", closure_size, ("|e^t|", "e^t", "et")),
+    ("ET", "closure_size", lambda s: closure_size(s, bound=None), ("|e^t|", "e^t", "et")),
     ("PT", "closure_paths", closure_paths, ("|p^t|", "p^t", "pt")),
 )
 
@@ -232,9 +240,11 @@ def all_invariants(
     """Bundle all fourteen invariants for one signature.
 
     Each value is its row's function applied to the signature; |P^T| is also
-    given the omega budget.
+    given the omega budget, which is checked before any other row runs, so
+    that no level list or factorial is built for an Omega it refuses.
     """
     sig = as_signature(parts)
+    _check_omega(sum(sig), omega_budget)
     return InvariantRecord(
         *(
             closure_paths(sig, omega_budget=omega_budget) if key == "PT" else func(sig)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from enum import Enum
 from typing import Iterable
 
@@ -220,29 +221,43 @@ def _first_primes(k: int) -> list[int]:
 
 
 def spf_sieve(limit: int) -> list[int]:
-    """Smallest-prime-factor table for 0..limit (spf[0] = 0, spf[1] = 1)."""
+    """Smallest-prime-factor table for 0..limit (spf[0] = 0, spf[1] = 1).
+
+    The primes up to sqrt(limit) come from a bytearray sieve.  Each writes
+    its multiples from p^2 on by one slice assignment, largest prime first,
+    so the smallest prime factor writes last; the entries left at 0 are 0,
+    1 and the primes, and each is set to its own index.  No int object is
+    made per entry, only per prime.
+    """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    spf = list(range(limit + 1))
-    spf[0] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for multiple in range(p * p, limit + 1, p):
-                if spf[multiple] == multiple:
-                    spf[multiple] = p
+    root = math.isqrt(limit)
+    marks = bytearray([1]) * (root + 1)
+    marks[:2] = b"\0\0"
+    for p in range(2, math.isqrt(root) + 1):
+        if marks[p]:
+            marks[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    spf = [0] * (limit + 1)
+    for p in reversed(list(itertools.compress(range(root + 1), marks))):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    for n in itertools.compress(range(limit + 1), map(operator.not_, spf)):
+        spf[n] = n
     return spf
 
 
 def signature_from_sieve(n: int, spf: list[int]) -> PrimeSignature:
+    """Prime signature of ``n`` read off a ``spf_sieve`` table that covers it."""
     exps = []
     while n > 1:
         p = spf[n]
-        e = 0
-        while n % p == 0:
+        n //= p
+        e = 1
+        while spf[n] == p:  # spf[1] = 1 ends the run
             n //= p
             e += 1
         exps.append(e)
-    return tuple(sorted(exps, reverse=True))
+    exps.sort(reverse=True)
+    return tuple(exps)
 
 
 def signature_display(sig: PrimeSignature) -> str:

@@ -4,7 +4,9 @@ Each recomputes a quantity that divgraph computes another way: by a
 recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
 certificate, by trial division instead of Miller–Rabin and Pollard's rho,
-or by stride-offset sums instead of shifted up-sets.
+by stride-offset sums instead of shifted up-sets, by polynomial
+convolution instead of running sums, or by a loop per multiple instead of
+slice assignment.
 """
 
 import itertools
@@ -226,3 +228,58 @@ def closure_arcs_by_strides(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
         next(offsets)  # the zero offset is the tail itself
         arcs.extend((i, i + sum(d)) for d in offsets)
     return arcs
+
+
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def level_node_counts_by_convolution(parts) -> list[int]:
+    """|V_l| for l = 0..Omega, multiplying out prod_i (1 + x + ... + x^m_i)."""
+    poly = [1]
+    for m in as_signature(parts):
+        poly = _conv(poly, [1] * (m + 1))
+    return poly
+
+
+def level_arc_counts_by_convolution(parts) -> list[int]:
+    """Arcs leaving level l for l = 0..Omega-1, clamping one coordinate at a time.
+
+    Coordinate i ranges over 0..m_i-1 and every other coordinate over its
+    full range; the other coordinates' polynomial is a prefix product times
+    a suffix product.
+    """
+    sig = as_signature(parts)
+    if not sig:
+        return []
+    prefix = [[1]]
+    for m in sig:
+        prefix.append(_conv(prefix[-1], [1] * (m + 1)))
+    suffix = [[1]]
+    for m in reversed(sig):
+        suffix.append(_conv(suffix[-1], [1] * (m + 1)))
+    suffix.reverse()
+    counts = [0] * sum(sig)
+    for i, m in enumerate(sig):
+        clamped = _conv(_conv(prefix[i], suffix[i + 1]), [1] * m)
+        for l, c in enumerate(clamped):
+            counts[l] += c
+    return counts
+
+
+def spf_sieve_by_loops(limit: int) -> list[int]:
+    """Smallest-prime-factor table for 0..limit, one Python step per multiple."""
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    spf = list(range(limit + 1))
+    spf[0] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for multiple in range(p * p, limit + 1, p):
+                if spf[multiple] == multiple:
+                    spf[multiple] = p
+    return spf

@@ -1,11 +1,16 @@
 """Subcommand behavior, exit codes, and output determinism."""
 
+import io
 import json
+import os
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divgraph import cli, kernels, signatures
 from divgraph.cli import main
@@ -135,6 +140,23 @@ class TestInvariants:
         finally:
             sys.set_int_max_str_digits(limit)
         assert (li, pt) == (2**14290, 2**14289)
+
+    def test_closure_size_past_64_bits_is_exact(self, capsys):
+        # forty 1s fit the default omega budget; ET = 3^40 - 2^40 > 2^63
+        sig = ".".join(["1"] * 40)
+        code, out, err = run(capsys, "invariants", "--sig", sig)
+        assert (code, err) == (0, "")
+        assert f"ET = {3**40 - 2**40}\n" in out
+        code, out, err = run(capsys, "invariants", "--sig", sig, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ET"] == 3**40 - 2**40
+
+    def test_omega_over_budget_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--sig", "3000000")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (1, "")
+        assert "Omega 3000000 exceeds omega budget 40" in err
 
     def test_bad_signature_syntax(self, capsys):
         code, _, err = run(capsys, "invariants", "--sig", "2.x.1")
@@ -386,9 +408,113 @@ class TestConjectures:
         assert payload["counterexamples"] == []
         assert payload["checked"] == 59  # empty signature is skipped
 
+    def test_long_colex_scan_within_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "conjectures", "--id", "3", "--colex-count", "20000")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["checked"], payload["counterexamples"]) == (19999, [])
+
     def test_help_available_everywhere(self, capsys):
         for sub in ["invariants", "sequence", "graph", "compare", "conjectures"]:
             with pytest.raises(SystemExit) as excinfo:
                 main([sub, "--help"])
             assert excinfo.value.code == 0
             capsys.readouterr()
+
+
+# --- random command lines ----------------------------------------------------
+# Every generated input is bounded by its own size: graphs have at most 625
+# nodes, sequences at most 300 entries, scans at most Omega 6, n 3000 or 300
+# signatures, and an invariant's Omega at most 72.  Budgets from flags and
+# the environment can refuse some of that work but never allow more.
+
+_budget_text = st.one_of(st.integers(-2, 60).map(str), st.sampled_from(["", "x", "1e3"]))
+_env_names = ["DIVGRAPH_NODE_BUDGET", "DIVGRAPH_ARC_BUDGET", "DIVGRAPH_OMEGA_BUDGET"]
+
+
+def _sig_text(max_part, max_len):
+    parts = st.lists(st.integers(1, max_part), min_size=1, max_size=max_len)
+    return st.one_of(
+        parts.map(lambda ps: ".".join(map(str, ps))),
+        st.sampled_from(["0", "2.x", "", "0.1", "-1", "1..2"]),
+    )
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _target(max_part, max_len):
+    by_n = st.integers(-1, 2**64).map(lambda n: ["--n", str(n)])
+    by_sig = _sig_text(max_part, max_len).map(lambda t: ["--sig", t])
+    return st.one_of(by_n, by_sig)
+
+
+_invariant_names = st.sampled_from(
+    ["V", "EH", "Omega", "omega", "Wv", "We", "Delta", "PH", "VE", "VO", "EE", "EO",
+     "ET", "PT", "LI", "w_e", "bogus"]
+)
+_count = st.integers(-1, 300)
+
+_argvs = st.one_of(
+    st.tuples(
+        st.just(["invariants"]),
+        _target(12, 6),
+        _optional("--format", st.sampled_from(["text", "json", "xml"])),
+        _optional("--omega-budget", st.integers(-2, 80)),
+    ),
+    st.tuples(
+        st.just(["sequence"]),
+        _invariant_names.map(lambda v: ["--inv", v]),
+        _optional("--order", st.sampled_from(["natural", "colex", "canonical", "random"])),
+        _optional("--count", _count),
+        _optional("--format", st.sampled_from(["csv", "json", "bfile"])),
+    ),
+    st.tuples(
+        st.just(["graph"]),
+        _target(4, 4),
+        _optional("--kind", st.sampled_from(["hasse", "closure", "tree"])),
+        _optional("--format", st.sampled_from(["dot", "json"])),
+        _optional("--node-budget", st.integers(-1, 700)),
+        _optional("--arc-budget", st.integers(-1, 60_000)),
+    ),
+    st.tuples(
+        st.just(["compare"]),
+        _invariant_names.map(lambda v: ["--inv", v]),
+        _optional("--order", st.sampled_from(["natural", "colex", "canonical"])),
+        _optional("--count", _count),
+        st.sampled_from(["b000005.txt", "b002033.txt", "missing.txt"]).map(
+            lambda name: ["--bfile", str(DATA / name)]
+        ),
+    ),
+    st.tuples(
+        st.just(["conjectures"]),
+        st.sampled_from(["1", "2", "3", "4"]).map(lambda i: ["--id", i]),
+        _optional("--mode", st.sampled_from(["node", "arc", "both"])),
+        _optional("--max-omega", st.integers(-1, 6)),
+        _optional("--max-n", st.integers(-1, 3000)),
+        _optional("--colex-count", st.integers(-1, 300)),
+        _optional("--node-budget", st.integers(-1, 700)),
+    ),
+).map(lambda pieces: [arg for piece in pieces for arg in piece])
+
+
+class TestRandomCommandLines:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        argv=_argvs,
+        env=st.dictionaries(st.sampled_from(_env_names), _budget_text, max_size=3),
+    )
+    def test_exit_code_and_no_traceback(self, argv, env):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+        assert time.perf_counter() - start < 10.0, argv
+        assert code in (0, 1, 2, 3), (argv, env, code)
+        assert "Traceback" not in err.getvalue(), (argv, env)

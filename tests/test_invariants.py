@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from divgraph.errors import BudgetError
+from divgraph.graphs import GraphKind, build_graph, level_profile
 from divgraph.invariants import (
     all_invariants,
     arc_parity,
@@ -25,11 +26,13 @@ from divgraph.invariants import (
 )
 from divgraph.signatures import partitions_of
 
-from _corpus import small_corpus
+from _corpus import oracle_corpus, small_corpus
 from _reference import (
     closure_paths_double_sum,
     closure_size_by_divisor_sum,
     hasse_paths_recursive,
+    level_arc_counts_by_convolution,
+    level_node_counts_by_convolution,
 )
 
 signatures = st.lists(st.integers(min_value=1, max_value=5), max_size=5).map(
@@ -88,6 +91,21 @@ class TestLevels:
     def test_arc_counts_trivial(self):
         assert level_arc_counts((1,)) == [1]
         assert level_arc_counts(()) == []
+
+    def test_running_sums_equal_convolution(self):
+        sigs = [p for k in range(19) for p in partitions_of(k)]
+        assert len(sigs) == 1597
+        sigs += [(1,) * 40, (40,), (20, 20), (5, 4, 3, 2, 1) * 3]
+        for sig in sigs:
+            assert level_node_counts(sig) == level_node_counts_by_convolution(sig), sig
+            assert level_arc_counts(sig) == level_arc_counts_by_convolution(sig), sig
+
+    def test_counts_equal_built_hasse_diagram(self):
+        # level_profile reads the counts off the nodes and arcs of a built graph
+        for sig in oracle_corpus(order_cap=300):
+            profile = level_profile(build_graph(sig, GraphKind.HASSE))
+            assert level_node_counts(sig) == profile.node_counts, sig
+            assert level_arc_counts(sig) == profile.arc_counts, sig
 
     @given(signatures)
     def test_totals_and_symmetry(self, sig):
@@ -173,6 +191,10 @@ class TestClosureSize:
         with pytest.raises(ValueError):
             closure_size((2**40, 2**40))
 
+    def test_unbounded_is_exact(self):
+        assert closure_size((1,) * 40, bound=None) == 3**40 - 2**40
+        assert all_invariants((1,) * 40).closure_size == 3**40 - 2**40
+
 
 class TestClosurePaths:
     @pytest.mark.parametrize(
@@ -233,6 +255,13 @@ class TestHeightAndBundle:
     @pytest.mark.parametrize("sig,expected", [((2, 1), 3), ((), 0), ((5,), 5)])
     def test_height(self, sig, expected):
         assert height(sig) == expected
+
+    def test_omega_budget_checked_first(self):
+        # no level list of 10^9 entries and no factorial of 10^9 is built
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="Omega 1000000000 exceeds omega budget 40"):
+            all_invariants((10**9,))
+        assert time.perf_counter() - start < 1.0
 
     def test_empty_record(self):
         assert all_invariants(()).as_tuple() == (1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1)

@@ -23,7 +23,7 @@ from divgraph.signatures import (
     spf_sieve,
 )
 
-from _reference import factorize_by_trial_division
+from _reference import factorize_by_trial_division, spf_sieve_by_loops
 from fixtures.signature_orders import CANONICAL_30, FIRST_SHARED, GRADED_COLEX_30
 
 
@@ -105,6 +105,24 @@ class TestSignatureOf:
         spf = spf_sieve(3000)
         for n in range(1, 3001):
             assert signature_from_sieve(n, spf) == signature_of(n)
+
+    def test_sieve_agrees_with_factorize_up_to_1e5(self):
+        spf = spf_sieve(100_000)
+        for n in range(1, 100_001):
+            assert signature_from_sieve(n, spf) == signature_of(n), n
+
+
+class TestSieve:
+    def test_equals_loop_sieve(self):
+        for limit in [*range(1, 2001), 10**5, 10**6]:
+            spf = spf_sieve(limit)
+            assert type(spf) is list
+            assert spf == spf_sieve_by_loops(limit), limit
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_validated(self, limit):
+        with pytest.raises(ValueError):
+            spf_sieve(limit)
 
 
 # Independent partition counter: recurrence only, no generation.
