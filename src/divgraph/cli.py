@@ -4,8 +4,11 @@ Subcommands: invariants, sequence, graph, compare, conjectures.  Each
 budget comes from its flag, else from the environment (DIVGRAPH_NODE_BUDGET,
 DIVGRAPH_ARC_BUDGET, DIVGRAPH_OMEGA_BUDGET), else from the library default.
 The arc budget bounds the arcs of a ``graph --kind closure`` and is checked
-before the closure is built.  All numeric output is full decimal, however
-many digits it has.
+before the closure is built.  One fixed size budget, ``SIZE_BUDGET`` in
+``divgraph.signatures``, bounds ``--count``, ``--max-n``, ``--colex-count``
+and the number of signatures that ``--max-omega`` covers; it is checked
+before any sieve or signature list is made.  All numeric output is full
+decimal, however many digits it has.
 
 Exit codes: 0 success; 1 an error (bad input, budget exceeded) or, for
 compare, a value mismatch; 2 a command-line usage error or, for compare, an
@@ -27,15 +30,17 @@ from divgraph import graphs, invariants, sequences
 from divgraph.errors import BudgetError
 from divgraph.kernels import active_backend
 from divgraph.signatures import (
+    SIZE_BUDGET,
     SignatureOrder,
+    check_size,
     enumerate_signatures,
     factorize,
     least_integer,
+    natural_signatures,
     parse_signature_key,
+    partition_count,
     partitions_of,
-    signature_from_sieve,
     signature_key,
-    spf_sieve,
 )
 
 
@@ -153,14 +158,22 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
     if args.id == 1:
         if args.max_omega < 1:
             raise ValueError(f"--max-omega must be at least 1, got {args.max_omega}")
+        size = 0
+        for k in range(1, args.max_omega + 1):  # stops soon after the budget is passed
+            size += partition_count(k)
+            if size > SIZE_BUDGET:
+                raise BudgetError(
+                    f"--max-omega {args.max_omega} scans at least {size} signatures,"
+                    f" more than the size budget {SIZE_BUDGET}"
+                )
         sigs = [s for k in range(1, args.max_omega + 1) for s in partitions_of(k)]
         scope = f"all signatures with 1 <= Omega <= {args.max_omega}"
     elif args.id == 2:
-        spf = spf_sieve(args.max_n)
-        seen = {signature_from_sieve(n, spf) for n in range(1, args.max_n + 1)}
-        sigs = sorted(seen)
+        check_size("--max-n", args.max_n)
+        sigs = sorted(set(natural_signatures(args.max_n)))
         scope = f"signatures of n <= {args.max_n}"
     elif args.id == 3:
+        check_size("--colex-count", args.colex_count)
         sigs = enumerate_signatures(SignatureOrder.GRADED_COLEX, args.colex_count)
         scope = f"first {args.colex_count} graded-colex signatures"
     else:
@@ -169,6 +182,9 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
     report = conj.scan(args.id, sigs, modes=modes, node_budget=node_budget, scope=scope)
     _write_out(report.to_json() + "\n", args.out)
     return 0 if report.ok else 3
+
+
+_SIZE_HELP = f"{{}}; at most {SIZE_BUDGET} (the size budget)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("sequence", help="emit an invariant sequence")
     p_seq.add_argument("--inv", required=True, help="invariant name (V, EH, ..., PT, LI)")
     p_seq.add_argument("--order", choices=[o.value for o in sequences.Ordering], default="natural")
-    p_seq.add_argument("--count", type=int, default=50)
+    p_seq.add_argument("--count", type=int, default=50, help=_SIZE_HELP.format("number of entries"))
     p_seq.add_argument("--format", choices=[f.value for f in sequences.EmitFormat], default="csv")
     p_seq.add_argument("--out", type=str, default=None)
     p_seq.set_defaults(func=cmd_sequence)
@@ -208,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare a sequence against a local b-file")
     p_cmp.add_argument("--inv", required=True)
     p_cmp.add_argument("--order", choices=[o.value for o in sequences.Ordering], default="natural")
-    p_cmp.add_argument("--count", type=int, default=50)
+    p_cmp.add_argument("--count", type=int, default=50, help=_SIZE_HELP.format("number of entries"))
     p_cmp.add_argument("--bfile", required=True, help="path to the reference b-file")
     p_cmp.add_argument("--out", type=str, default=None)
     p_cmp.set_defaults(func=cmd_compare)
@@ -216,9 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser("conjectures", help="scan a conjecture for counterexamples")
     p_conj.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
     p_conj.add_argument("--mode", choices=["node", "arc", "both"], default="both")
-    p_conj.add_argument("--max-omega", type=int, default=8)
-    p_conj.add_argument("--max-n", type=int, default=100_000)
-    p_conj.add_argument("--colex-count", type=int, default=200)
+    p_conj.add_argument(
+        "--max-omega", type=int, default=8,
+        help=f"id 1: every signature with 1 <= Omega <= MAX_OMEGA; at most {SIZE_BUDGET}"
+        " signatures (the size budget)",
+    )
+    p_conj.add_argument(
+        "--max-n", type=int, default=100_000,
+        help=_SIZE_HELP.format("id 2: the signatures of n = 1..MAX_N"),
+    )
+    p_conj.add_argument(
+        "--colex-count", type=int, default=200,
+        help=_SIZE_HELP.format("id 3: the first COLEX_COUNT graded-colex signatures"),
+    )
     p_conj.add_argument("--node-budget", type=int, default=None)
     p_conj.add_argument("--out", type=str, default=None)
     p_conj.set_defaults(func=cmd_conjectures)

@@ -2,29 +2,30 @@
 
 A sequence table pairs keys with invariant values: keys are n = 1, 2, ...
 in natural order, or 0-based signature indices under the two signature
-orders.  Tables serialize to CSV, JSON, and OEIS b-file text, and can be
-compared against a local b-file reference.
+orders.  Tables are held as columns, serialize to CSV, JSON, and OEIS
+b-file text, and can be compared against a local b-file reference.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Callable, Optional
 
 from divgraph import invariants
 from divgraph.errors import BFileFormatError
 from divgraph.signatures import (
+    PrimeSignature,
     SignatureOrder,
+    check_size,
     enumerate_signatures,
     least_integer,
-    signature_from_sieve,
+    natural_signatures,
     signature_key,
-    spf_sieve,
 )
 
 
@@ -63,45 +64,65 @@ def normalize_invariant(name: str) -> str:
 class SequenceEntry:
     key: int
     value: int
-    signature: Optional[tuple[int, ...]] = None
+    signature: Optional[PrimeSignature] = None
 
 
 @dataclass(frozen=True)
 class SequenceTable:
+    """One invariant's sequence under one ordering, held as columns.
+
+    ``value_column[i]`` is the value at key ``i + 1`` in natural order and
+    at key ``i`` under the signature orders, where ``signature_column[i]``
+    is the signature it belongs to; natural-order tables have no signature
+    column.  ``entries`` builds the rows as ``SequenceEntry`` objects on
+    each access; generating, emitting and comparing never do.
+    """
+
     invariant: str
     ordering: Ordering
-    entries: list[SequenceEntry]
+    value_column: list[int]
+    signature_column: Optional[list[PrimeSignature]] = None
+
+    def keys(self) -> range:
+        start = 1 if self.ordering is Ordering.NATURAL else 0
+        return range(start, start + len(self.value_column))
 
     def values(self) -> list[int]:
-        return [e.value for e in self.entries]
+        return list(self.value_column)
+
+    @property
+    def entries(self) -> list[SequenceEntry]:
+        """The rows as ``SequenceEntry`` objects, built anew on each access."""
+        columns = [self.keys(), self.value_column]
+        if self.signature_column is not None:
+            columns.append(self.signature_column)
+        return list(map(SequenceEntry, *columns))
 
 
 def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
-    """First ``count`` values of one invariant under one ordering.
+    """First ``count`` values of one invariant under one ordering, as columns.
 
     Natural order keys by n starting at 1; signature orders key by index
-    starting at 0 (the empty signature).  The least-integer row only exists
-    under the signature orders.  Natural order reads each signature off one
-    smallest-prime-factor sieve and computes each distinct signature's value
-    once.
+    starting at 0 (the empty signature) and keep the signatures as a second
+    column.  The least-integer row only exists under the signature orders.
+    Natural order reads each signature off one smallest-prime-factor sieve
+    and computes each distinct signature's value once.  ``count`` is checked
+    against the size budget before anything is allocated.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     key = normalize_invariant(invariant)
     func = INVARIANT_FUNCS[key]
-    entries: list[SequenceEntry] = []
-    if ordering is Ordering.NATURAL:
-        if key == "LI":
-            raise ValueError("LI is only defined under the signature orders")
-        spf = spf_sieve(count)
-        value_of = functools.cache(func)
-        for n in range(1, count + 1):
-            entries.append(SequenceEntry(key=n, value=value_of(signature_from_sieve(n, spf))))
-    else:
-        order = SignatureOrder(ordering.value)
-        for i, sig in enumerate(enumerate_signatures(order, count)):
-            entries.append(SequenceEntry(key=i, value=func(sig), signature=sig))
-    return SequenceTable(invariant=key, ordering=ordering, entries=entries)
+    natural = ordering is Ordering.NATURAL
+    if natural and key == "LI":
+        raise ValueError("LI is only defined under the signature orders")
+    check_size("count", count)
+    if natural:
+        values = list(map(functools.cache(func), natural_signatures(count)))
+        return SequenceTable(invariant=key, ordering=ordering, value_column=values)
+    sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
+    values = list(map(func, sigs))
+    return SequenceTable(invariant=key, ordering=ordering, value_column=values, signature_column=sigs)
 
 
 class EmitFormat(Enum):
@@ -111,32 +132,30 @@ class EmitFormat(Enum):
 
 
 def emit(table: SequenceTable, fmt: EmitFormat) -> bytes:
-    """Serialize a table; see parse_bfile for the b-file inverse."""
+    """Serialize a table; see parse_bfile for the b-file inverse.
+
+    Each format is one join over rows formatted straight from the columns.
+    """
+    keys, values, sigs = table.keys(), table.value_column, table.signature_column
     if fmt is EmitFormat.CSV:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        with_sig = table.ordering is not Ordering.NATURAL
-        writer.writerow(["key", "signature", "value"] if with_sig else ["key", "value"])
-        for e in table.entries:
-            if with_sig:
-                writer.writerow([e.key, signature_key(e.signature or ()), e.value])
-            else:
-                writer.writerow([e.key, e.value])
-        return buf.getvalue().encode()
+        if sigs is None:
+            rows = [f"{k},{v}\n" for k, v in zip(keys, values)]
+            return ("key,value\n" + "".join(rows)).encode()
+        rows = [f"{k},{signature_key(s)},{v}\n" for k, s, v in zip(keys, sigs, values)]
+        return ("key,signature,value\n" + "".join(rows)).encode()
     if fmt is EmitFormat.JSON:
-        payload = {
-            "invariant": table.invariant,
-            "ordering": table.ordering.value,
-            "entries": [
-                {"key": e.key, "value": e.value}
-                if e.signature is None
-                else {"key": e.key, "signature": list(e.signature), "value": e.value}
-                for e in table.entries
-            ],
-        }
-        return json.dumps(payload).encode()
+        # byte for byte what json.dumps gives for the dict with the row dicts
+        head = json.dumps({"invariant": table.invariant, "ordering": table.ordering.value})
+        if sigs is None:
+            rows = [f'{{"key": {k}, "value": {v}}}' for k, v in zip(keys, values)]
+        else:
+            rows = [
+                f'{{"key": {k}, "signature": {list(s)}, "value": {v}}}'
+                for k, s, v in zip(keys, sigs, values)
+            ]
+        return (head[:-1] + ', "entries": [' + ", ".join(rows) + "]}").encode()
     if fmt is EmitFormat.BFILE:
-        return "".join(f"{e.key} {e.value}\n" for e in table.entries).encode()
+        return "".join([f"{k} {v}\n" for k, v in zip(keys, values)]).encode()
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -146,24 +165,49 @@ def parse_bfile(data: bytes) -> list[tuple[int, int]]:
     Tolerates '#' comment lines, blank lines, and leading whitespace;
     requires strictly increasing indices.
     """
-    pairs: list[tuple[int, int]] = []
-    for line_number, raw in enumerate(data.decode("utf-8", errors="replace").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        pieces = line.split()
-        if len(pieces) != 2:
-            raise BFileFormatError(f"expected 'index value', got {raw!r}", line_number)
+    return list(zip(*_bfile_columns(data)))
+
+
+def _bfile_columns(data: bytes) -> tuple[list[int], list[int]]:
+    """The index and value columns of b-file text.
+
+    Each line is split once.  Only a file that fails one of the checks is
+    read again, line by line, to report its first bad line.
+    """
+    text = data.decode("utf-8", errors="replace")
+    lines = text.splitlines()
+    rows = list(filter(None, map(str.split, lines)))  # blank lines split to []
+    if "#" in text:
+        rows = [pieces for pieces in rows if not pieces[0].startswith("#")]
+    if set(map(len, rows)) == {2}:
         try:
-            index, value = int(pieces[0]), int(pieces[1])
+            indices = list(map(int, map(itemgetter(0), rows)))
+            values = list(map(int, map(itemgetter(1), rows)))
         except ValueError:
-            raise BFileFormatError(f"non-integer field in {raw!r}", line_number) from None
-        if pairs and index <= pairs[-1][0]:
-            raise BFileFormatError(f"index {index} not increasing", line_number)
-        pairs.append((index, value))
-    if not pairs:
-        raise BFileFormatError("no data lines", 1)
-    return pairs
+            pass
+        else:
+            if all(map(lt, indices, islice(indices, 1, None))):
+                return indices, values
+    raise _first_bfile_error(lines)
+
+
+def _first_bfile_error(lines: list[str]) -> BFileFormatError:
+    """The error for the first bad line, or for a file with no data lines."""
+    last: Optional[int] = None
+    for line_number, raw in enumerate(lines, 1):
+        pieces = raw.split()
+        if not pieces or pieces[0].startswith("#"):
+            continue
+        if len(pieces) != 2:
+            return BFileFormatError(f"expected 'index value', got {raw!r}", line_number)
+        try:
+            index, _ = int(pieces[0]), int(pieces[1])
+        except ValueError:
+            return BFileFormatError(f"non-integer field in {raw!r}", line_number)
+        if last is not None and index <= last:
+            return BFileFormatError(f"index {index} not increasing", line_number)
+        last = index
+    return BFileFormatError("no data lines", 1)
 
 
 @dataclass(frozen=True)
@@ -200,19 +244,16 @@ class MatchReport:
 
 def compare_bfile(table: SequenceTable, reference: bytes) -> MatchReport:
     """Compare table values against a parsed b-file, position by position."""
-    ref = parse_bfile(reference)
-    ours = table.entries
-    overlap = min(len(ours), len(ref))
-    matched = 0
+    indices, theirs = _bfile_columns(reference)
+    ours = table.value_column
+    overlap = min(len(ours), len(theirs))
+    matched = overlap
     mismatch: Optional[tuple[int, int, int]] = None
-    for i in range(overlap):
-        if ours[i].value == ref[i][1]:
-            matched += 1
-        else:
-            mismatch = (ours[i].key, ours[i].value, ref[i][1])
-            break
+    if ours[:overlap] != theirs[:overlap]:
+        matched = next(i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b)
+        mismatch = (table.keys()[matched], ours[matched], theirs[matched])
     return MatchReport(
-        offset_shift=ref[0][0] - ours[0].key if ours else 0,
+        offset_shift=indices[0] - table.keys().start if ours else 0,
         overlap=overlap,
         matched_prefix=matched,
         first_mismatch=mismatch,

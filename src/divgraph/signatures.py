@@ -13,9 +13,20 @@ import itertools
 import math
 import operator
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from divgraph.errors import BudgetError
 
 INT_BOUND = 2**63 - 1
+
+#: Most n values, table rows or signatures that one request may ask for:
+#: a sequence table's count, and a conjecture scan's --max-n, --colex-count
+#: and number of signatures with 1 <= Omega <= --max-omega (so --max-omega
+#: is at most 36).  Signature-order work grows with Omega as well as with
+#: the count: at 10^5 a colex W_e table took about 12 s at a 64 MB peak and
+#: a natural-order table 0.15 s, while at 10^6 a colex V table alone took
+#: 13 s at 533 MB (2-CPU x86-64, Python 3.11).
+SIZE_BUDGET = 10**5
 
 Factorization = tuple[tuple[int, int], ...]  # ((prime, exponent), ...), primes ascending
 PrimeSignature = tuple[int, ...]  # exponents, descending
@@ -173,6 +184,24 @@ def partitions_of(k: int) -> list[PrimeSignature]:
     return out
 
 
+def partition_count(k: int) -> int:
+    """Number of partitions of ``k`` (p(0) = 1), counted part size by part
+    size without enumerating them."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    counts = [1] + [0] * k  # counts[t]: partitions of t into the parts so far
+    for part in range(1, k + 1):
+        for total in range(part, k + 1):
+            counts[total] += counts[total - part]
+    return counts[k]
+
+
+def check_size(what: str, size: int) -> None:
+    """Refuse a request for more than SIZE_BUDGET items before any is made."""
+    if size > SIZE_BUDGET:
+        raise BudgetError(f"{what} {size} exceeds the size budget {SIZE_BUDGET}")
+
+
 def enumerate_signatures(order: SignatureOrder, count: int) -> list[PrimeSignature]:
     """First ``count`` signatures in the requested total order, starting at ().
 
@@ -260,6 +289,17 @@ def signature_from_sieve(n: int, spf: list[int]) -> PrimeSignature:
     return tuple(exps)
 
 
+def natural_signatures(limit: int) -> Iterator[PrimeSignature]:
+    """Prime signatures of 1, 2, ..., ``limit`` in order, read off one sieve.
+
+    The sieve is built by the call; each signature is read as the iterator
+    reaches it, so a caller that keeps only distinct signatures never holds
+    ``limit`` of them.
+    """
+    spf = spf_sieve(limit)
+    return map(signature_from_sieve, range(1, limit + 1), itertools.repeat(spf, limit))
+
+
 def signature_display(sig: PrimeSignature) -> str:
     """Render a signature the way the order tables print it: (2,1); () is (0)."""
     if not sig:
@@ -274,7 +314,7 @@ def signature_key(sig: PrimeSignature) -> str:
     """
     if not sig:
         return "0"
-    return ".".join(str(p) for p in sig)
+    return ".".join(map(str, sig))
 
 
 def parse_signature_key(text: str) -> tuple[int, ...]:

@@ -5,18 +5,25 @@ recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
 certificate, by trial division instead of Miller–Rabin and Pollard's rho,
 by stride-offset sums instead of shifted up-sets, by polynomial
-convolution instead of running sums, or by a loop per multiple instead of
-slice assignment.
+convolution instead of running sums, by a loop per multiple instead of
+slice assignment, or row by row through ``SequenceEntry`` objects instead of
+over a table's columns.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 from collections import deque
+from typing import Optional
 
 from divgraph._kernels_py import _strides, enumerate_nodes
 from divgraph.conjectures import DisjointMode
+from divgraph.errors import BFileFormatError
 from divgraph.graphs import DivisorGraph, GraphKind
-from divgraph.signatures import INT_BOUND, as_signature
+from divgraph.sequences import EmitFormat, MatchReport, Ordering, SequenceTable
+from divgraph.signatures import INT_BOUND, as_signature, signature_key
 
 
 def _canon(parts):
@@ -283,3 +290,77 @@ def spf_sieve_by_loops(limit: int) -> list[int]:
                 if spf[multiple] == multiple:
                     spf[multiple] = p
     return spf
+
+
+def emit_by_rows(table: SequenceTable, fmt: EmitFormat) -> bytes:
+    """Serialize a table one ``SequenceEntry`` at a time: csv.writer rows,
+    a dict per row for json.dumps, an f-string per b-file line."""
+    if fmt is EmitFormat.CSV:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        with_sig = table.ordering is not Ordering.NATURAL
+        writer.writerow(["key", "signature", "value"] if with_sig else ["key", "value"])
+        for e in table.entries:
+            if with_sig:
+                writer.writerow([e.key, signature_key(e.signature or ()), e.value])
+            else:
+                writer.writerow([e.key, e.value])
+        return buf.getvalue().encode()
+    if fmt is EmitFormat.JSON:
+        payload = {
+            "invariant": table.invariant,
+            "ordering": table.ordering.value,
+            "entries": [
+                {"key": e.key, "value": e.value}
+                if e.signature is None
+                else {"key": e.key, "signature": list(e.signature), "value": e.value}
+                for e in table.entries
+            ],
+        }
+        return json.dumps(payload).encode()
+    if fmt is EmitFormat.BFILE:
+        return "".join(f"{e.key} {e.value}\n" for e in table.entries).encode()
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def parse_bfile_by_lines(data: bytes) -> list[tuple[int, int]]:
+    """Parse b-file text line by line, stripping and then splitting each."""
+    pairs: list[tuple[int, int]] = []
+    for line_number, raw in enumerate(data.decode("utf-8", errors="replace").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        pieces = line.split()
+        if len(pieces) != 2:
+            raise BFileFormatError(f"expected 'index value', got {raw!r}", line_number)
+        try:
+            index, value = int(pieces[0]), int(pieces[1])
+        except ValueError:
+            raise BFileFormatError(f"non-integer field in {raw!r}", line_number) from None
+        if pairs and index <= pairs[-1][0]:
+            raise BFileFormatError(f"index {index} not increasing", line_number)
+        pairs.append((index, value))
+    if not pairs:
+        raise BFileFormatError("no data lines", 1)
+    return pairs
+
+
+def compare_bfile_by_rows(table: SequenceTable, reference: bytes) -> MatchReport:
+    """Compare table values against a b-file one entry at a time."""
+    ref = parse_bfile_by_lines(reference)
+    ours = table.entries
+    overlap = min(len(ours), len(ref))
+    matched = 0
+    mismatch: Optional[tuple[int, int, int]] = None
+    for i in range(overlap):
+        if ours[i].value == ref[i][1]:
+            matched += 1
+        else:
+            mismatch = (ours[i].key, ours[i].value, ref[i][1])
+            break
+    return MatchReport(
+        offset_shift=ref[0][0] - ours[0].key if ours else 0,
+        overlap=overlap,
+        matched_prefix=matched,
+        first_mismatch=mismatch,
+    )

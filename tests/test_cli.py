@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, and output determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -12,8 +13,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divgraph import cli, kernels, signatures
+from divgraph import cli, kernels, sequences, signatures
 from divgraph.cli import main
+from divgraph.signatures import SIZE_BUDGET
 
 DATA = Path(__file__).parent / "data"
 
@@ -424,11 +426,77 @@ class TestConjectures:
             capsys.readouterr()
 
 
+class TestSizeBudget:
+    """Sizes over the size budget are refused before a sieve, a signature
+    list or a partition list is made; sizes at the budget get that far."""
+
+    OVER = str(SIZE_BUDGET + 1)
+    REFUSED = [
+        (["sequence", "--inv", "V", "--count", OVER], 1, f"count {OVER} exceeds the size budget"),
+        (["sequence", "--inv", "PT", "--order", "colex", "--count", "1000000000"], 1,
+         "count 1000000000 exceeds the size budget"),
+        (["sequence", "--inv", "LI", "--order", "canonical", "--count", OVER], 1,
+         f"count {OVER} exceeds the size budget"),
+        (["compare", "--inv", "V", "--count", OVER, "--bfile", str(DATA / "b000005.txt")], 2,
+         f"count {OVER} exceeds the size budget"),
+        (["conjectures", "--id", "2", "--max-n", "1000000000"], 1,
+         "--max-n 1000000000 exceeds the size budget"),
+        (["conjectures", "--id", "3", "--colex-count", OVER], 1,
+         f"--colex-count {OVER} exceeds the size budget"),
+        (["conjectures", "--id", "1", "--max-omega", "37"], 1,
+         "--max-omega 37 scans at least 120769 signatures, more than the size budget"),
+        (["conjectures", "--id", "1", "--max-omega", str(2**64)], 1,
+         f"--max-omega {2**64} scans at least 120769 signatures"),
+    ]
+    AT_BUDGET = [
+        ["sequence", "--inv", "V", "--count", str(SIZE_BUDGET)],
+        ["sequence", "--inv", "V", "--order", "colex", "--count", str(SIZE_BUDGET)],
+        ["conjectures", "--id", "2", "--max-n", str(SIZE_BUDGET)],
+        ["conjectures", "--id", "3", "--colex-count", str(SIZE_BUDGET)],
+        ["conjectures", "--id", "1", "--max-omega", "36"],  # 99132 signatures
+    ]
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sized work started")
+
+        monkeypatch.setattr(signatures, "spf_sieve", forbidden)
+        for module in (signatures, sequences, cli):
+            monkeypatch.setattr(module, "enumerate_signatures", forbidden)
+        monkeypatch.setattr(cli, "partitions_of", forbidden)
+
+    @pytest.mark.parametrize("argv, code, message", REFUSED)
+    def test_refused_up_front(self, capsys, no_allocation, argv, code, message):
+        start = time.perf_counter()
+        got_code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert (got_code, out) == (code, "")
+        assert message in err and str(SIZE_BUDGET) in err
+
+    @pytest.mark.parametrize("argv", AT_BUDGET)
+    def test_budget_itself_accepted(self, no_allocation, argv):
+        with pytest.raises(AssertionError, match="sized work started"):
+            main(argv)
+
+    @pytest.mark.parametrize(
+        "sub, flag", [("sequence", "--count"), ("compare", "--count"),
+                      ("conjectures", "--max-n"), ("conjectures", "--colex-count"),
+                      ("conjectures", "--max-omega")]
+    )
+    def test_help_names_the_budget(self, sub, flag):
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        (action,) = [a for a in subparsers.choices[sub]._actions if flag in a.option_strings]
+        assert f"at most {SIZE_BUDGET}" in action.help and "(the size budget)" in action.help
+
+
 # --- random command lines ----------------------------------------------------
 # Every generated input is bounded by its own size: graphs have at most 625
 # nodes, sequences at most 300 entries, scans at most Omega 6, n 3000 or 300
 # signatures, and an invariant's Omega at most 72.  Budgets from flags and
-# the environment can refuse some of that work but never allow more.
+# the environment can refuse some of that work but never allow more.  Sizes
+# past the size budget, up to 2^64, are drawn too: they must be refused.
 
 _budget_text = st.one_of(st.integers(-2, 60).map(str), st.sampled_from(["", "x", "1e3"]))
 _env_names = ["DIVGRAPH_NODE_BUDGET", "DIVGRAPH_ARC_BUDGET", "DIVGRAPH_OMEGA_BUDGET"]
@@ -456,7 +524,7 @@ _invariant_names = st.sampled_from(
     ["V", "EH", "Omega", "omega", "Wv", "We", "Delta", "PH", "VE", "VO", "EE", "EO",
      "ET", "PT", "LI", "w_e", "bogus"]
 )
-_count = st.integers(-1, 300)
+_count = st.one_of(st.integers(-1, 300), st.integers(SIZE_BUDGET + 1, 2**64))
 
 _argvs = st.one_of(
     st.tuples(
@@ -493,9 +561,9 @@ _argvs = st.one_of(
         st.just(["conjectures"]),
         st.sampled_from(["1", "2", "3", "4"]).map(lambda i: ["--id", i]),
         _optional("--mode", st.sampled_from(["node", "arc", "both"])),
-        _optional("--max-omega", st.integers(-1, 6)),
-        _optional("--max-n", st.integers(-1, 3000)),
-        _optional("--colex-count", st.integers(-1, 300)),
+        _optional("--max-omega", st.one_of(st.integers(-1, 6), st.integers(37, 2**64))),
+        _optional("--max-n", st.one_of(st.integers(-1, 3000), st.integers(SIZE_BUDGET + 1, 2**64))),
+        _optional("--colex-count", _count),
         _optional("--node-budget", st.integers(-1, 700)),
     ),
 ).map(lambda pieces: [arg for piece in pieces for arg in piece])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from divgraph import signatures
+from divgraph import sequences, signatures
 from divgraph.errors import BFileFormatError
 from divgraph.invariants import all_invariants
 from divgraph.sequences import (
@@ -20,6 +20,7 @@ from divgraph.sequences import (
 )
 from divgraph.signatures import signature_of, spf_sieve, signature_from_sieve
 
+from _reference import compare_bfile_by_rows, emit_by_rows, parse_bfile_by_lines
 from fixtures.table_rows import CANONICAL_ROWS, COLEX_ROWS, NATURAL_ERRATA, NATURAL_ROWS
 
 DATA = Path(__file__).parent / "data"
@@ -163,7 +164,7 @@ class TestEmit:
     def test_empty_table_emits_bare_header(self):
         from divgraph.sequences import SequenceTable
 
-        empty = SequenceTable(invariant="V", ordering=Ordering.NATURAL, entries=[])
+        empty = SequenceTable(invariant="V", ordering=Ordering.NATURAL, value_column=[])
         assert emit(empty, EmitFormat.CSV) == b"key,value\n"
         assert emit(empty, EmitFormat.BFILE) == b""
 
@@ -185,6 +186,50 @@ class TestParseBFile:
     def test_rejects_empty(self):
         with pytest.raises(BFileFormatError):
             parse_bfile(b"# nothing\n")
+
+    # each error kind after two comment lines and two blank ones, so that
+    # the reported line counts every physical line
+    PREAMBLE = b"# A000005\n\n  # indented comment\n   \n1 1\n2 2\n"
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (b"3 2 7", "line 7: expected 'index value', got '3 2 7'"),
+            (b"3", "line 7: expected 'index value', got '3'"),
+            (b"3 two", "line 7: non-integer field in '3 two'"),
+            (b"x 2", "line 7: non-integer field in 'x 2'"),
+            (b"2 9", "line 7: index 2 not increasing"),
+            (b"1 9", "line 7: index 1 not increasing"),
+        ],
+    )
+    def test_error_line_numbers_count_comments_and_blanks(self, bad_line, message):
+        with pytest.raises(BFileFormatError) as excinfo:
+            parse_bfile(self.PREAMBLE + bad_line + b"\n4 4\n")
+        assert excinfo.value.line_number == 7
+        assert str(excinfo.value) == message
+
+    def test_first_error_wins(self):
+        # a non-increasing index on line 2 comes before three fields on line 3
+        with pytest.raises(BFileFormatError) as excinfo:
+            parse_bfile(b"5 1\n5 2\n6 1 1\n")
+        assert str(excinfo.value) == "line 2: index 5 not increasing"
+
+    def test_only_comments_and_blanks(self):
+        with pytest.raises(BFileFormatError) as excinfo:
+            parse_bfile(b"# one\n\n   \n# two\n")
+        assert excinfo.value.line_number == 1
+        assert str(excinfo.value) == "line 1: no data lines"
+
+    def test_crlf_and_trailing_spaces(self):
+        data = b"# header \r\n\r\n1 5  \r\n 2\t7\t\r\n3 -1\r\n"
+        assert parse_bfile(data) == [(1, 5), (2, 7), (3, -1)]
+        assert parse_bfile(data.replace(b"\r\n", b"\n")) == [(1, 5), (2, 7), (3, -1)]
+
+    def test_crlf_error_keeps_line_number(self):
+        with pytest.raises(BFileFormatError) as excinfo:
+            parse_bfile(b"# h\r\n1 5\r\n2 x \r\n")
+        assert excinfo.value.line_number == 3
+        assert str(excinfo.value) == "line 3: non-integer field in '2 x '"
 
 
 class TestCompare:
@@ -264,3 +309,100 @@ class TestNormalize:
     def test_rejected(self, name):
         with pytest.raises(ValueError, match="unknown invariant"):
             normalize_invariant(name)
+
+
+# Every row in every order it exists in, at the benchmark's sizes (139
+# signatures with Omega <= 10, 1500 natural-order rows) and at 1 and 2.  The
+# least integer passes its 2^63 bound before the 1500th signature.
+TABLE_CASES = [
+    (name, ordering, count)
+    for name in INVARIANT_FUNCS
+    for ordering in Ordering
+    if not (name == "LI" and ordering is Ordering.NATURAL)
+    for count in (1, 2, 139, 1500)
+    if not (name == "LI" and count > 139)
+]
+
+
+def _case_id(case):
+    name, ordering, count = case
+    return f"{name}-{ordering.value}-{count}"
+
+
+class TestColumnsEqualRowByRow:
+    """The column serializers and comparison against the row-by-row ones."""
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=_case_id)
+    def test_emit_byte_identical(self, case):
+        table = generate(*case)
+        for fmt in EmitFormat:
+            assert emit(table, fmt) == emit_by_rows(table, fmt), fmt
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=_case_id)
+    def test_compare_reports_equal(self, case):
+        table = generate(*case)
+        own = emit(table, EmitFormat.BFILE)
+        lines = own.decode().splitlines()
+        middle = len(lines) // 2
+        key, _ = lines[middle].split()
+        corrupted = lines[:middle] + [f"{key} -7"] + lines[middle + 1 :]
+        references = {
+            "full match": own,
+            "corrupted": ("\n".join(corrupted) + "\n").encode(),
+            "offset shifted": (DATA / "b002033.txt").read_bytes(),
+            "shorter": ("\n".join(lines[: max(1, len(lines) // 3)]) + "\n").encode(),
+        }
+        for label, reference in references.items():
+            assert compare_bfile(table, reference) == compare_bfile_by_rows(table, reference), label
+        assert compare_bfile(table, own).full_match
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"# A\n\n1 5\n2 7\n",
+            b"1 5\r\n 2\t7 \r\n",
+            b"0 1\n1 -2\n10 3\n",
+            b"1 +5\n2 1_000\n",
+            b"1 5\n2 5 5\n",
+            b"1 5\n2\n",
+            b"1 5\n2 x\n",
+            b"1 5\n1 6\n",
+            b"3 5\n2 6\n",
+            b"1 5\n# 2\n2 6 #\n",
+            b"",
+            b"# only\n",
+            b"\xff 1\n",
+        ],
+    )
+    def test_parse_equals_line_by_line(self, data):
+        try:
+            expected = parse_bfile_by_lines(data)
+        except BFileFormatError as exc:
+            with pytest.raises(BFileFormatError) as excinfo:
+                parse_bfile(data)
+            assert (str(excinfo.value), excinfo.value.line_number) == (str(exc), exc.line_number)
+        else:
+            assert parse_bfile(data) == expected
+
+    def test_hot_path_builds_no_entries(self, monkeypatch):
+        expected = {}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SequenceEntry built on the hot path")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sequences, "SequenceEntry", forbidden)
+            table = generate("V", Ordering.NATURAL, 1500)
+            for fmt in EmitFormat:
+                expected[fmt] = emit(table, fmt)
+            report = compare_bfile(table, (DATA / "b000005.txt").read_bytes())
+            assert report.full_match and report.overlap == 40
+            with pytest.raises(AssertionError, match="hot path"):
+                table.entries
+        # asked for, the rows are built and equal the row-by-row reference's view
+        entries = table.entries
+        assert [(e.key, e.value, e.signature) for e in entries] == [
+            (n, v, None) for n, v in zip(range(1, 1501), table.values())
+        ]
+        for fmt in EmitFormat:
+            assert emit_by_rows(table, fmt) == expected[fmt]

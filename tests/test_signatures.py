@@ -7,14 +7,19 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from divgraph.errors import BudgetError
 from divgraph.signatures import (
+    SIZE_BUDGET,
     SignatureOrder,
     as_signature,
+    check_size,
     enumerate_signatures,
     factorization_value,
     factorize,
     least_integer,
+    natural_signatures,
     parse_signature_key,
+    partition_count,
     partitions_of,
     signature_display,
     signature_from_sieve,
@@ -112,6 +117,33 @@ class TestSignatureOf:
             assert signature_from_sieve(n, spf) == signature_of(n), n
 
 
+class TestNaturalSignatures:
+    def test_equals_factorization_up_to_1e4(self):
+        assert list(natural_signatures(10_000)) == [signature_of(n) for n in range(1, 10_001)]
+
+    def test_equals_per_n_sieve_reads_at_1e5(self):
+        spf = spf_sieve(100_000)
+        expected = [signature_from_sieve(n, spf) for n in range(1, 100_001)]
+        assert list(natural_signatures(100_000)) == expected
+
+    def test_one(self):
+        assert list(natural_signatures(1)) == [()]
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_validated(self, limit):
+        with pytest.raises(ValueError):
+            natural_signatures(limit)
+
+
+class TestSizeBudget:
+    def test_at_budget_accepted(self):
+        check_size("count", SIZE_BUDGET)
+
+    def test_over_budget_refused(self):
+        with pytest.raises(BudgetError, match=f"count {SIZE_BUDGET + 1} exceeds the size budget"):
+            check_size("count", SIZE_BUDGET + 1)
+
+
 class TestSieve:
     def test_equals_loop_sieve(self):
         for limit in [*range(1, 2001), 10**5, 10**6]:
@@ -158,6 +190,14 @@ class TestPartitions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions_of(-1)
+
+    def test_partition_count_matches_recurrence(self):
+        assert [partition_count(k) for k in range(61)] == [_count_partitions(k, k) for k in range(61)]
+        assert partition_count(100) == 190_569_292
+
+    def test_partition_count_negative_rejected(self):
+        with pytest.raises(ValueError):
+            partition_count(-1)
 
 
 class TestOrders:
