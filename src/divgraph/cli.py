@@ -106,7 +106,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if n is not None:
         extras = {"height": record.big_omega, "n": n, "signature": key}
     else:
-        li = least_integer(bounds, bound=None)  # exact, like PH and PT
+        li = least_integer(bounds)
         extras = {"height": record.big_omega, "signature": key, "LI": li}
     with _no_int_digit_limit():  # LI, PH and PT may pass the limit
         if args.format == "json":

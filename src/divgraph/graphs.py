@@ -19,7 +19,7 @@ from enum import Enum
 
 from divgraph import invariants, kernels
 from divgraph.errors import BudgetError
-from divgraph.signatures import INT_BOUND, Factorization
+from divgraph.signatures import Factorization
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_ARC_BUDGET = 10**7  # a closure arc costs about 100 bytes
@@ -137,7 +137,7 @@ def level_profile(g: DivisorGraph) -> LevelProfile:
     return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, shortest, longest)
 
 
-def divisor_value(v: ExponentVector, f: Factorization, *, bound: int = INT_BOUND) -> int:
+def divisor_value(v: ExponentVector, f: Factorization) -> int:
     """Concrete divisor represented by vector ``v`` against factorization ``f``."""
     if len(v) != len(f):
         raise ValueError(f"vector of length {len(v)} does not match factorization of length {len(f)}")
@@ -146,8 +146,6 @@ def divisor_value(v: ExponentVector, f: Factorization, *, bound: int = INT_BOUND
         if coord < 0 or coord > exponent:
             raise ValueError(f"coordinate {coord} out of range 0..{exponent}")
         value *= prime**coord
-        if value > bound:
-            raise ValueError(f"divisor value exceeds bound {bound}")
     return value
 
 

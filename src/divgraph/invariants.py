@@ -1,10 +1,8 @@
 """Closed-form computation of the fourteen divisor-graph invariants.
 
 Everything here is a pure function of the exponent multiset; no graph is
-ever built.  Every count is an exact integer.  ``order``, ``hasse_size`` and
-``closure_size`` check their value against a 64-bit bound unless called with
-``bound=None``; ``TABLE`` calls them that way, so the record, the CLI and
-the sequence tables give every count exactly.  ``TABLE`` lists the
+ever built.  Every count is an exact integer, however large; the one
+refusal is the omega budget of ``closure_paths``.  ``TABLE`` lists the
 invariants once; the record type, the sequence keys and spellings, and the
 CLI output all derive from it.  The brute-force counterpart that measures
 the same quantities on an explicit graph lives in divgraph.oracle.
@@ -20,24 +18,17 @@ from operator import add, mul, sub
 from typing import Iterable
 
 from divgraph.errors import BudgetError
-from divgraph.signatures import INT_BOUND, as_signature, big_omega, small_omega
+from divgraph.signatures import as_signature, big_omega, small_omega
 
 DEFAULT_OMEGA_BUDGET = 40
 
 
-def _checked(value: int, what: str, bound: int | None) -> int:
-    if bound is not None and value > bound:
-        raise ValueError(f"{what} exceeds bound {bound}")
-    return value
-
-
-def order(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
+def order(parts: Iterable[int]) -> int:
     """Node count: product of (exponent + 1); 1 for the empty signature."""
-    sig = as_signature(parts)
-    return _checked(math.prod(m + 1 for m in sig), "order", bound)
+    return math.prod(m + 1 for m in as_signature(parts))
 
 
-def hasse_size(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
+def hasse_size(parts: Iterable[int]) -> int:
     """Arc count of the Hasse diagram, by the peel-one-exponent recursion.
 
     The lattice is a Cartesian product of paths, and the size of a product
@@ -52,7 +43,7 @@ def hasse_size(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
     for m in sig[1:]:
         edges = edges * (m + 1) + m * nodes
         nodes *= m + 1
-    return _checked(edges, "hasse size", bound)
+    return edges
 
 
 def level_node_counts(parts: Iterable[int]) -> list[int]:
@@ -130,17 +121,17 @@ def hasse_paths(parts: Iterable[int]) -> int:
 
 def node_parity(parts: Iterable[int]) -> tuple[int, int]:
     """(|V_E|, |V_O|): nodes on even and odd levels; |V_O| = floor(|V|/2)."""
-    n = order(parts, bound=None)
+    n = order(parts)
     return n - n // 2, n // 2
 
 
 def arc_parity(parts: Iterable[int]) -> tuple[int, int]:
     """(|E_E|, |E_O|) by tail-level parity; |E_O| = floor(|E^H|/2)."""
-    e = hasse_size(parts, bound=None)
+    e = hasse_size(parts)
     return e - e // 2, e // 2
 
 
-def closure_size(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
+def closure_size(parts: Iterable[int]) -> int:
     """Arc count of the transitive closure, in closed form.
 
     Summing the divisor-count function over the lattice gives
@@ -149,7 +140,7 @@ def closure_size(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
     """
     sig = as_signature(parts)
     total = math.prod((m + 1) * (m + 2) // 2 for m in sig)
-    return _checked(total - math.prod(m + 1 for m in sig), "closure size", bound)
+    return total - math.prod(m + 1 for m in sig)
 
 
 def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUDGET) -> int:
@@ -200,8 +191,8 @@ def height(parts: Iterable[int]) -> int:
 #: A name resolves to a key when it equals the key or, lowercased, one of the
 #: spellings.
 TABLE = (
-    ("V", "order", lambda s: order(s, bound=None), ("|v|", "v")),
-    ("EH", "hasse_size", lambda s: hasse_size(s, bound=None), ("|e^h|", "e^h", "eh")),
+    ("V", "order", order, ("|v|", "v")),
+    ("EH", "hasse_size", hasse_size, ("|e^h|", "e^h", "eh")),
     ("Omega", "big_omega", height, ("bigomega",)),
     ("omega", "small_omega", small_omega, ("smallomega",)),
     ("Wv", "width_nodes", width_nodes, ("w_v", "wv")),
@@ -212,7 +203,7 @@ TABLE = (
     ("VO", "v_odd", lambda s: node_parity(s)[1], ("|v_o|", "v_o", "vo")),
     ("EE", "e_even", lambda s: arc_parity(s)[0], ("|e_e|", "e_e", "ee")),
     ("EO", "e_odd", lambda s: arc_parity(s)[1], ("|e_o|", "e_o", "eo")),
-    ("ET", "closure_size", lambda s: closure_size(s, bound=None), ("|e^t|", "e^t", "et")),
+    ("ET", "closure_size", closure_size, ("|e^t|", "e^t", "et")),
     ("PT", "closure_paths", closure_paths, ("|p^t|", "p^t", "pt")),
 )
 

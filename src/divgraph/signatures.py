@@ -42,20 +42,20 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 _MR_BASES = _SMALL_PRIMES[:12]  # 2, 3, ..., 37
 
 
-def factorize(n: int, *, bound: int = INT_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Prime factorization of ``n`` as ((p1, m1), (p2, m2), ...) with p1 < p2 < ...
 
     Trial division by the primes below 100, then deterministic Miller–Rabin
     on the bases 2, 3, ..., 37 to test each cofactor, which is exact for
     n < 3.3·10^24 (Sorenson and Webster, Math. Comp. 86, 2017), so for every
-    n up to the default 64-bit bound; composites are split by Brent's
-    variant of Pollard's rho (Brent, BIT 20, 1980).  The bound is checked up
-    front.
+    n up to ``INT_BOUND``; composites are split by Brent's variant of
+    Pollard's rho (Brent, BIT 20, 1980).  ``n`` is checked against
+    ``INT_BOUND`` up front.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1 or n > bound:
-        raise ValueError(f"n out of range [1, {bound}]: {n}")
+    if n < 1 or n > INT_BOUND:
+        raise ValueError(f"n out of range [1, {INT_BOUND}]: {n}")
     pairs = []
     rest = n
     for p in _SMALL_PRIMES:
@@ -137,9 +137,9 @@ def factorization_value(f: Factorization) -> int:
     return prod
 
 
-def signature_of(n: int, *, bound: int = INT_BOUND) -> PrimeSignature:
+def signature_of(n: int) -> PrimeSignature:
     """Prime signature of ``n``: the exponent multiset, sorted descending."""
-    return tuple(sorted((e for _, e in factorize(n, bound=bound)), reverse=True))
+    return tuple(sorted((e for _, e in factorize(n)), reverse=True))
 
 
 def as_signature(parts: Iterable[int]) -> PrimeSignature:
@@ -224,19 +224,14 @@ def enumerate_signatures(order: SignatureOrder, count: int) -> list[PrimeSignatu
     return out[:count]
 
 
-def least_integer(parts: Iterable[int], *, bound: int | None = INT_BOUND) -> int:
+def least_integer(parts: Iterable[int]) -> int:
     """Smallest positive integer whose signature equals the given multiset.
 
     Largest exponent goes on the smallest prime: 2^s1 * 3^s2 * 5^s3 * ...
-    ``bound=None`` returns the exact integer however large.
+    The value is exact however large.
     """
     sig = as_signature(parts)
-    value = 1
-    for prime, exponent in zip(_first_primes(len(sig)), sig):
-        value *= prime**exponent
-        if bound is not None and value > bound:
-            raise ValueError(f"least integer of {sig} exceeds bound {bound}")
-    return value
+    return math.prod(map(pow, _first_primes(len(sig)), sig))
 
 
 def _first_primes(k: int) -> list[int]:

@@ -216,6 +216,18 @@ class TestSequence:
         payload = json.loads(out)
         assert payload["entries"][-1]["value"] == 210
 
+    def test_li_past_2_63_is_exact(self, capsys):
+        code, out, err = run(
+            capsys, "sequence", "--inv", "LI", "--order", "canonical", "--count", "916",
+            "--format", "bfile",
+        )
+        assert (code, err) == (0, "")
+        values = dict(line.split() for line in out.splitlines())
+        assert values["914"] == "32589158477190044730"
+        code, out, _ = run(capsys, "invariants", "--sig", ".".join(["1"] * 16))
+        assert code == 0
+        assert f"LI = {values['914']}\n" in out
+
     def test_li_natural_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sequence", "--inv", "LI", "--order", "natural")
         assert code == 1
@@ -284,6 +296,15 @@ class TestGraph:
         code, out, err = run(capsys, "graph", "--sig", ".".join(["1"] * 19), "--kind", "closure")
         assert (code, out) == (1, "")
         assert "1161737179 arcs exceeds arc budget 10000000" in err
+
+    def test_closure_past_64_bits_meets_the_arc_budget(self, capsys):
+        code, out, err = run(
+            capsys, "graph", "--sig", ".".join(["1"] * 64), "--kind", "closure",
+            "--node-budget", str(2**64),
+        )
+        assert (code, out) == (1, "")
+        assert "exceeds arc budget" in err
+        assert "Traceback" not in err
 
     def test_arc_budget_flag_beats_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVGRAPH_ARC_BUDGET", "3")

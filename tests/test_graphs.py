@@ -46,6 +46,10 @@ class TestBuildGraph:
         with pytest.raises(BudgetError):
             build_graph((2, 1), GraphKind.HASSE, node_budget=5)
 
+    def test_closure_past_64_bits_meets_the_arc_budget(self):
+        with pytest.raises(BudgetError, match="arc budget"):
+            build_graph((1,) * 64, GraphKind.CLOSURE, node_budget=2**64)
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             build_graph((2, 0), GraphKind.HASSE)

@@ -263,8 +263,8 @@ class TestLeastInteger:
         assert least_integer((1, 2, 2)) == least_integer((2, 2, 1)) == 180
 
     def test_overflow(self):
-        with pytest.raises(ValueError):
-            least_integer((1,) * 16)
+        # the product of the first sixteen primes, past 2^63
+        assert least_integer((1,) * 16) == 32589158477190044730
 
     @given(st.integers(min_value=1, max_value=20_000))
     def test_minimal_in_class(self, n):
