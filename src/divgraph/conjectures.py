@@ -117,9 +117,9 @@ def _disjoint_paths_failure(
     sig: tuple[int, ...], modes: tuple[DisjointMode, ...], node_budget: int
 ) -> Optional[tuple[object, object]]:
     g = build_graph(sig, GraphKind.HASSE, node_budget=node_budget)
-    observed = {m.value: max_disjoint_paths(g, m) for m in modes}
-    if any(v != len(sig) for v in observed.values()):
-        return observed, len(sig)
+    paths = max_disjoint_paths(g, DisjointMode.NODE)  # one certificate serves every mode
+    if paths != len(sig):
+        return dict.fromkeys((m.value for m in modes), paths), len(sig)
     return None
 
 

@@ -47,16 +47,21 @@ def hasse_size(parts: Iterable[int]) -> int:
 
 
 def level_node_counts(parts: Iterable[int]) -> list[int]:
-    """|V_l| for l = 0..Omega: coefficients of P(x) = prod_i (1 + x + ... + x^m_i).
-
-    Multiplying by 1 + ... + x^m turns each coefficient into the sum of a
-    window of m+1 old ones; every window is a difference of one running sum.
-    """
+    """|V_l| for l = 0..Omega: coefficients of P(x) = prod_i (1 + x + ... + x^m_i)."""
     poly = [1]
     for m in as_signature(parts):
-        run = list(accumulate(poly, initial=0))
-        poly = list(map(sub, run[1:] + [run[-1]] * m, [0] * m + run[:-1]))
+        poly = _times_window(poly, m)
     return poly
+
+
+def _times_window(poly: list[int], m: int) -> list[int]:
+    """The coefficients of P(x) (1 + x + ... + x^m), from those of P.
+
+    Each new coefficient is the sum of a window of m+1 old ones, and every
+    window is a difference of one running sum.
+    """
+    run = list(accumulate(poly, initial=0))
+    return list(map(sub, run[1:] + [run[-1]] * m, [0] * m + run[:-1]))
 
 
 def level_arc_counts(parts: Iterable[int]) -> list[int]:
@@ -87,6 +92,23 @@ def _arc_counts_from(poly: list[int], sig: tuple[int, ...]) -> list[int]:
         lowered = quot[:m] + list(map(sub, quot[m:], quot))
         counts = list(map(add, counts, map(mul, lowered, repeat(mult))))
     return counts
+
+
+def _arc_count_at(poly: list[int], groups: Iterable[tuple[int, int]], level: int) -> int:
+    """Arcs leaving one ``level``, from the rank sequence ``poly``.
+
+    ``groups`` holds each distinct part m with its multiplicity.  The level's
+    coefficient of N^(i) = P(x) (1 - x^m) / (1 - x^(m+1)) is a sum of every
+    (m+1)-th coefficient of P from ``level`` down, minus the same sum from
+    ``level - m`` down; see ``_arc_counts_from``.
+    """
+    total = 0
+    for m, mult in groups:
+        lowered = sum(poly[level :: -(m + 1)])
+        if level >= m:
+            lowered -= sum(poly[level - m :: -(m + 1)])
+        total += mult * lowered
+    return total
 
 
 def width_nodes(parts: Iterable[int]) -> int:
@@ -153,10 +175,10 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     C(m_k+j-1, j-1) of them.  Inclusion-exclusion over the steps allowed to
     stay put leaves sum_j (-1)^(l-j) C(l, j) M(j) strict chains of length l
     (Stanley, EC1 section 3.12).  Summing over l = 1..Omega and swapping the
-    sums gives sum_j T(j) M(j) with T(j) = sum_{l=j..Omega} (-1)^(l-j) C(l, j).
-    T(0) is 1 for even Omega and 0 for odd, and Pascal's rule gives
-    2 T(j) = T(j-1) + (-1)^(Omega-j) C(Omega+1, j), so every term follows
-    from the one before in O(omega) big-integer steps.
+    sums gives sum_j T(j) M(j); see ``_closure_weights`` for T.  Equal parts
+    give equal factors of M(j), so each distinct part's binomial row is
+    built once and raised to the part's multiplicity: O(Omega * d)
+    big-integer steps for d distinct parts, plus the powers.
     The one-node and two-node graphs have a single path.
     """
     sig = as_signature(parts)
@@ -164,16 +186,39 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     _check_omega(total, omega_budget)
     if total <= 1:
         return 1
+    multichains = [1] * total  # M(j) for j = 1..Omega
+    for m in set(sig):
+        row = _multichain_row(m, total)
+        mult = sig.count(m)
+        multichains = list(map(mul, multichains, row if mult == 1 else map(pow, row, repeat(mult))))
+    return sum(map(mul, _closure_weights(total), multichains))
+
+
+def _closure_weights(total: int) -> list[int]:
+    """T(j) = sum_{l=j..Omega} (-1)^(l-j) C(l, j) for j = 1..Omega, with Omega = ``total``.
+
+    T(0) is 1 for even Omega and 0 for odd, and Pascal's rule gives
+    2 T(j) = T(j-1) + (-1)^(Omega-j) C(Omega+1, j), so every term follows
+    from the one before.
+    """
     t = 1 - total % 2  # T(0)
     comb = 1  # C(Omega+1, j)
-    steps = [1] * len(sig)  # C(m_k+j-1, j-1)
-    paths = 0
+    weights = []
     for j in range(1, total + 1):
         comb = comb * (total + 2 - j) // j
         t = (t + (comb if (total - j) % 2 == 0 else -comb)) // 2
-        paths += t * math.prod(steps)
-        steps = [c * (m + j) // j for c, m in zip(steps, sig)]
-    return paths
+        weights.append(t)
+    return weights
+
+
+def _multichain_row(m: int, length: int) -> list[int]:
+    """C(m+j-1, j-1) for j = 1..``length``: one part's factor of M(j), each from the one before."""
+    comb = 1
+    row = [1]
+    for j in range(1, length):
+        comb = comb * (m + j) // j
+        row.append(comb)
+    return row
 
 
 def _check_omega(total: int, omega_budget: int) -> None:

@@ -6,8 +6,9 @@ on an explicit graph instead of a DP, by a max flow instead of a
 certificate, by trial division instead of Miller–Rabin and Pollard's rho,
 by stride-offset sums instead of shifted up-sets, by polynomial
 convolution instead of running sums, by a loop per multiple instead of
-slice assignment, or row by row through ``SequenceEntry`` objects instead of
-over a table's columns.
+slice assignment, by recursion instead of from earlier partition grades,
+or row by row through ``SequenceEntry`` objects instead of over a table's
+columns.
 """
 
 import csv
@@ -23,7 +24,7 @@ from divgraph.conjectures import DisjointMode
 from divgraph.errors import BFileFormatError
 from divgraph.graphs import DivisorGraph, GraphKind
 from divgraph.sequences import EmitFormat, MatchReport, Ordering, SequenceTable
-from divgraph.signatures import INT_BOUND, as_signature, signature_key
+from divgraph.signatures import INT_BOUND, SignatureOrder, as_signature, signature_key
 
 
 def _canon(parts):
@@ -290,6 +291,36 @@ def spf_sieve_by_loops(limit: int) -> list[int]:
                 if spf[multiple] == multiple:
                     spf[multiple] = p
     return spf
+
+
+def partitions_by_recursion(k: int) -> list[tuple[int, ...]]:
+    """Partitions of ``k`` as descending tuples, in descending lexicographic
+    order: each part from the largest allowed down, then the rest recursively."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for p in range(min(remaining, max_part), 0, -1):
+            prefix.append(p)
+            rec(remaining - p, p, prefix)
+            prefix.pop()
+
+    rec(k, k, [])
+    return out
+
+
+def signatures_by_recursion(order: SignatureOrder, count: int) -> list[tuple[int, ...]]:
+    """First ``count`` signatures in a graded order, each grade made by
+    ``partitions_by_recursion`` and, for colex, stably sorted by length."""
+    out: list[tuple[int, ...]] = []
+    k = 0
+    while len(out) < count:
+        grade = partitions_by_recursion(k)
+        out += sorted(grade, key=len) if order is SignatureOrder.GRADED_COLEX else grade
+        k += 1
+    return out[:count]
 
 
 def emit_by_rows(table: SequenceTable, fmt: EmitFormat) -> bytes:

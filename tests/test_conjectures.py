@@ -182,6 +182,22 @@ class TestScan:
         assert report.checked == len(sigs)
         assert report.counterexamples == []
 
+    def test_conjecture_1_certificate_once_per_signature(self, monkeypatch):
+        # the certificate does not depend on the mode, so "both" checks it once
+        checked = []
+
+        def counted(g, mode):
+            checked.append(g.signature)
+            return max_disjoint_paths(g, mode)
+
+        monkeypatch.setattr(conjectures, "max_disjoint_paths", counted)
+        sigs = [(1,), (2, 1), (1, 1, 1)]
+        for modes in [(DisjointMode.NODE, DisjointMode.ARC), (DisjointMode.ARC,)]:
+            checked.clear()
+            report = scan(1, sigs, modes=modes)
+            assert report.ok and report.checked == 3
+            assert checked == sigs
+
     def test_conjecture_2_range(self):
         sigs = [s for k in range(9) for s in partitions_of(k)]
         report = scan(2, sigs)

@@ -195,6 +195,11 @@ class TestClosureSize:
         assert all_invariants((1,) * 40).closure_size == 3**40 - 2**40
 
 
+# The ordered Bell (Fubini) number a(3000) mod 10^9, from the recurrence
+# a(n) = sum_{k=1..n} C(n, k) a(n - k) run on residues with Pascal's rule.
+FUBINI_3000_MOD_1E9 = 515734315
+
+
 class TestClosurePaths:
     @pytest.mark.parametrize(
         "sig,expected",
@@ -231,6 +236,15 @@ class TestClosurePaths:
         start = time.perf_counter()
         assert closure_paths((2000,), omega_budget=5000) == 2**1999
         assert time.perf_counter() - start < 3.0
+
+    def test_repeated_parts_step_once_per_distinct_part(self):
+        # one binomial factor per distinct part, raised to its multiplicity;
+        # stepping every part took about 10 s on the first input
+        start = time.perf_counter()
+        assert closure_paths((1,) * 3000, omega_budget=5000) % 10**9 == FUBINI_3000_MOD_1E9
+        assert time.perf_counter() - start < 5.0
+        for sig in [(1,) * 60, (2,) * 40, (3, 3, 3, 1, 1, 1, 1) * 6, (7, 7, 2, 2, 2, 2, 1)]:
+            assert closure_paths(sig, omega_budget=120) == closure_paths_double_sum(sig), sig
 
     def test_literal_divisor_recursion_agrees(self):
         # f(n) = sum of f(v) over proper divisors v, computed over concrete

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from divgraph import sequences, signatures
-from divgraph.errors import BFileFormatError
-from divgraph.invariants import all_invariants
+from divgraph.errors import BFileFormatError, BudgetError
+from divgraph.invariants import all_invariants, closure_paths
 from divgraph.sequences import (
     INVARIANT_FUNCS,
     EmitFormat,
@@ -18,7 +18,14 @@ from divgraph.sequences import (
     normalize_invariant,
     parse_bfile,
 )
-from divgraph.signatures import signature_of, spf_sieve, signature_from_sieve
+from divgraph.signatures import (
+    SignatureOrder,
+    enumerate_signatures,
+    partition_count,
+    signature_from_sieve,
+    signature_of,
+    spf_sieve,
+)
 
 from _reference import compare_bfile_by_rows, emit_by_rows, parse_bfile_by_lines
 from fixtures.table_rows import CANONICAL_ROWS, COLEX_ROWS, NATURAL_ERRATA, NATURAL_ROWS
@@ -405,3 +412,45 @@ class TestColumnsEqualRowByRow:
         ]
         for fmt in EmitFormat:
             assert emit_by_rows(table, fmt) == expected[fmt]
+
+
+# The first signature-order counts that end a grade, for Omega = 0..10.
+GRADE_ENDS = [sum(map(partition_count, range(k + 1))) for k in range(11)]
+SIGNATURE_ORDERS = [Ordering.GRADED_COLEX, Ordering.CANONICAL]
+COLUMN_CASES = [
+    (name, ordering, count)
+    for name in INVARIANT_FUNCS
+    for ordering in SIGNATURE_ORDERS
+    for count in sorted({1, 2, *GRADE_ENDS})
+] + [(name, ordering, 20_000) for name in ("Wv", "We", "PT", "LI") for ordering in SIGNATURE_ORDERS]
+
+
+class TestSignatureOrderColumns:
+    """Every signature-order column against its row function, one call per row."""
+
+    @pytest.mark.parametrize("case", COLUMN_CASES, ids=_case_id)
+    def test_column_equals_row_function(self, case):
+        name, ordering, count = case
+        table = generate(name, ordering, count)
+        sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
+        assert table.signature_column == sigs
+        assert table.value_column == list(map(INVARIANT_FUNCS[name], sigs))
+
+    def test_grade_ends(self):
+        assert GRADE_ENDS == [1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 139]
+
+    @pytest.mark.parametrize("ordering", SIGNATURE_ORDERS, ids=lambda o: o.value)
+    @pytest.mark.parametrize("count", [1, 29, 30, 31, 44, 45, 46, 67])
+    def test_closure_paths_budget_raises_where_rows_would(self, ordering, count):
+        # a budget of 6 admits grades 0..6, which end at count 30
+        sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
+        column = sequences._closure_paths_column
+        try:
+            expected = [closure_paths(sig, omega_budget=6) for sig in sigs]
+        except BudgetError:
+            assert count > 30
+            with pytest.raises(BudgetError, match="exceeds omega budget 6"):
+                column(sigs, omega_budget=6)
+        else:
+            assert count <= 30
+            assert column(sigs, omega_budget=6) == expected

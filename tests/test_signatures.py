@@ -28,7 +28,12 @@ from divgraph.signatures import (
     spf_sieve,
 )
 
-from _reference import factorize_by_trial_division, spf_sieve_by_loops
+from _reference import (
+    factorize_by_trial_division,
+    partitions_by_recursion,
+    signatures_by_recursion,
+    spf_sieve_by_loops,
+)
 from fixtures.signature_orders import CANONICAL_30, FIRST_SHARED, GRADED_COLEX_30
 
 
@@ -249,6 +254,22 @@ class TestOrders:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             enumerate_signatures(SignatureOrder.CANONICAL, 0)
+
+    @pytest.mark.parametrize("order", list(SignatureOrder))
+    def test_equals_recursive_grades_at_size_budget(self, order):
+        # grades built from earlier grades against grades built by recursion;
+        # 10^5 signatures reach Omega = 37
+        sigs = enumerate_signatures(order, SIZE_BUDGET)
+        assert sigs == signatures_by_recursion(order, SIZE_BUDGET)
+        assert sum(sigs[-1]) == 37
+        for k in (0, 1, 2, 5, 17, 37):
+            assert partitions_of(k) == partitions_by_recursion(k)
+
+    @pytest.mark.parametrize("order", list(SignatureOrder))
+    def test_every_count_cuts_the_same_prefix(self, order):
+        full = enumerate_signatures(order, 300)
+        for count in range(1, 301):
+            assert enumerate_signatures(order, count) == full[:count]
 
 
 class TestLeastInteger:
