@@ -15,10 +15,10 @@ from collections import Counter
 from dataclasses import asdict, astuple, make_dataclass
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Iterable
+from typing import Callable, Iterable
 
 from divgraph.errors import BudgetError
-from divgraph.signatures import as_signature, big_omega, small_omega
+from divgraph.signatures import PrimeSignature, as_signature, big_omega, small_omega
 
 DEFAULT_OMEGA_BUDGET = 40
 
@@ -62,6 +62,35 @@ def _times_window(poly: list[int], m: int) -> list[int]:
     """
     run = list(accumulate(poly, initial=0))
     return list(map(sub, run[1:] + [run[-1]] * m, [0] * m + run[:-1]))
+
+
+def _prefix_column(
+    sigs: list[PrimeSignature],
+    root: object,
+    extend: Callable[[object, int], object],
+    read: Callable[[PrimeSignature, int, object], int],
+) -> list[int]:
+    """One value per signature of ``sigs``, by a depth-first walk of the partition tree.
+
+    ``sigs`` is a prefix of a graded order, so it holds every signature
+    below its last grade, and with each signature the one without its
+    smallest part.  The walk starts at () with state ``root`` and appends
+    parts that do not increase; a child's state is ``extend(state, part)``
+    of its parent's, and ``read(sig, Omega, state)`` is its value, written
+    in its row.  Only the states on the stack are kept.
+    """
+    values = dict.fromkeys(sigs)  # insertion order is row order
+    top = sum(sigs[-1])
+    stack = [((), 0, root)]
+    while stack:
+        sig, omega, state = stack.pop()
+        values[sig] = read(sig, omega, state)
+        room = top - omega
+        for part in range(min(sig[-1], room) if sig else room, 0, -1):
+            child = sig + (part,)
+            if child in values:
+                stack.append((child, omega + part, extend(state, part)))
+    return list(values.values())
 
 
 def level_arc_counts(parts: Iterable[int]) -> list[int]:
@@ -116,10 +145,29 @@ def width_nodes(parts: Iterable[int]) -> int:
     return max(level_node_counts(parts))
 
 
+def _node_width_column(sigs: list[PrimeSignature]) -> list[int]:
+    """W_v over a graded-order prefix: the middle coefficient of the level
+    polynomial (conjecture 2's theorem)."""
+    return _prefix_column(sigs, [1], _times_window, lambda sig, omega, poly: poly[omega // 2])
+
+
 def width_arcs(parts: Iterable[int]) -> int:
     """W_e: largest level by leaving-arc count; 0 for the empty signature."""
     counts = level_arc_counts(parts)
     return max(counts) if counts else 0
+
+
+def _arc_width_column(sigs: list[PrimeSignature]) -> list[int]:
+    """W_e over a graded-order prefix: the arcs leaving level floor((Omega-1)/2)
+    (conjecture 3's theorem)."""
+
+    def read(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
+        if not omega:
+            return 0
+        groups = [(m, sig.count(m)) for m in set(sig)]
+        return _arc_count_at(poly, groups, (omega - 1) // 2)
+
+    return _prefix_column(sigs, [1], _times_window, read)
 
 
 def degree(parts: Iterable[int]) -> int:
@@ -194,6 +242,29 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     return sum(map(mul, _closure_weights(total), multichains))
 
 
+def _closure_paths_column(
+    sigs: list[PrimeSignature], *, omega_budget: int = DEFAULT_OMEGA_BUDGET
+) -> list[int]:
+    """|P^T| = sum_j T(Omega, j) M(j) over a graded-order prefix; see ``closure_paths``.
+
+    A node's vector M is its parent's times the appended part's binomial
+    row, and each grade's T(Omega, .) is computed once.  The omega budget is
+    checked once, for the last (largest) Omega of the table, before any work.
+    """
+    top = sum(sigs[-1])
+    _check_omega(top, omega_budget)
+    rows = [None] + [_multichain_row(m, top) for m in range(1, top + 1)]
+    weights = [None] + [_closure_weights(total) for total in range(1, top + 1)]
+
+    def extend(multichains: list[int], part: int) -> list[int]:
+        return list(map(mul, multichains, rows[part]))
+
+    def read(sig: PrimeSignature, omega: int, multichains: list[int]) -> int:
+        return sum(map(mul, weights[omega], multichains)) if omega else 1
+
+    return _prefix_column(sigs, [1] * top, extend, read)
+
+
 def _closure_weights(total: int) -> list[int]:
     """T(j) = sum_{l=j..Omega} (-1)^(l-j) C(l, j) for j = 1..Omega, with Omega = ``total``.
 
@@ -256,6 +327,15 @@ TABLE = (
 #: not through TABLE, so that a wrapper installed here (perfbench/spans.py
 #: traces closure_paths this way) is the function that runs.
 FUNCS = {key: func for key, _, func, _ in TABLE}
+
+#: Key -> the row's whole column over a prefix of a graded signature order,
+#: built in one walk of the partition tree, for the rows that have one.
+#: Each equals ``list(map(FUNCS[key], sigs))``.
+COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
+    "Wv": _node_width_column,
+    "We": _arc_width_column,
+    "PT": _closure_paths_column,
+}
 
 InvariantRecord = make_dataclass(
     "InvariantRecord",

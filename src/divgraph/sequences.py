@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import itemgetter, lt, mul
+from operator import itemgetter, lt
 from typing import Callable, Optional
 
 from divgraph import invariants
@@ -22,7 +21,6 @@ from divgraph.errors import BFileFormatError
 from divgraph.signatures import (
     PrimeSignature,
     SignatureOrder,
-    _first_primes,
     check_size,
     enumerate_signatures,
     least_integer,
@@ -109,7 +107,7 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     column.  The least-integer row only exists under the signature orders.
     Natural order reads each signature off one smallest-prime-factor sieve
     and computes each distinct signature's value once; under the signature
-    orders the rows in ``_COLUMNS`` are built in one pass over the table.
+    orders a row in ``invariants.COLUMNS`` is built in one pass over the table.
     ``count`` is checked against the size budget before anything is
     allocated.
     """
@@ -125,95 +123,9 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
         values = list(map(functools.cache(func), natural_signatures(count)))
         return SequenceTable(invariant=key, ordering=ordering, value_column=values)
     sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
-    column = _COLUMNS.get(key)
+    column = invariants.COLUMNS.get(key)
     values = column(sigs) if column is not None else list(map(func, sigs))
     return SequenceTable(invariant=key, ordering=ordering, value_column=values, signature_column=sigs)
-
-
-def _prefix_column(
-    sigs: list[PrimeSignature],
-    root: object,
-    extend: Callable[[object, int], object],
-    read: Callable[[PrimeSignature, int, object], int],
-) -> list[int]:
-    """One value per signature of ``sigs``, by a depth-first walk of the partition tree.
-
-    ``sigs`` is a prefix of a graded order, so it holds every signature
-    below its last grade, and with each signature the one without its
-    smallest part.  The walk starts at () with state ``root`` and appends
-    parts that do not increase; a child's state is ``extend(state, part)``
-    of its parent's, and ``read(sig, Omega, state)`` is its value, written
-    in its row.  Only the states on the stack are kept.
-    """
-    values = dict.fromkeys(sigs)  # insertion order is row order
-    top = sum(sigs[-1])
-    stack = [((), 0, root)]
-    while stack:
-        sig, omega, state = stack.pop()
-        values[sig] = read(sig, omega, state)
-        room = top - omega
-        for part in range(min(sig[-1], room) if sig else room, 0, -1):
-            child = sig + (part,)
-            if child in values:
-                stack.append((child, omega + part, extend(state, part)))
-    return list(values.values())
-
-
-def _node_width_column(sigs: list[PrimeSignature]) -> list[int]:
-    """W_v: the middle coefficient of the level polynomial (conjecture 2's theorem)."""
-    return _prefix_column(sigs, [1], invariants._times_window, lambda sig, omega, poly: poly[omega // 2])
-
-
-def _arc_width_column(sigs: list[PrimeSignature]) -> list[int]:
-    """W_e: the arcs leaving level floor((Omega-1)/2) (conjecture 3's theorem)."""
-
-    def read(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
-        if not omega:
-            return 0
-        groups = [(m, sig.count(m)) for m in set(sig)]
-        return invariants._arc_count_at(poly, groups, (omega - 1) // 2)
-
-    return _prefix_column(sigs, [1], invariants._times_window, read)
-
-
-def _closure_paths_column(
-    sigs: list[PrimeSignature], *, omega_budget: int = invariants.DEFAULT_OMEGA_BUDGET
-) -> list[int]:
-    """|P^T| = sum_j T(Omega, j) M(j); see ``invariants.closure_paths``.
-
-    A node's vector M is its parent's times the appended part's binomial
-    row, and each grade's T(Omega, .) is computed once.  The omega budget is
-    checked once, for the last (largest) Omega of the table, before any work.
-    """
-    top = sum(sigs[-1])
-    invariants._check_omega(top, omega_budget)
-    rows = [None] + [invariants._multichain_row(m, top) for m in range(1, top + 1)]
-    weights = [None] + [invariants._closure_weights(total) for total in range(1, top + 1)]
-
-    def extend(multichains: list[int], part: int) -> list[int]:
-        return list(map(mul, multichains, rows[part]))
-
-    def read(sig: PrimeSignature, omega: int, multichains: list[int]) -> int:
-        return sum(map(mul, weights[omega], multichains)) if omega else 1
-
-    return _prefix_column(sigs, [1] * top, extend, read)
-
-
-def _least_integer_column(sigs: list[PrimeSignature]) -> list[int]:
-    """LI, with the list of first primes made once for the table."""
-    primes = _first_primes(max(map(len, sigs)))
-    return [math.prod(map(pow, primes, sig)) for sig in sigs]
-
-
-#: Rows whose signature-order column is built by one pass over the table
-#: rather than by calling the row function once per signature; each equals
-#: ``list(map(INVARIANT_FUNCS[key], sigs))``.
-_COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
-    "Wv": _node_width_column,
-    "We": _arc_width_column,
-    "PT": _closure_paths_column,
-    "LI": _least_integer_column,
-}
 
 
 class EmitFormat(Enum):

@@ -248,14 +248,26 @@ def least_integer(parts: Iterable[int]) -> int:
     return math.prod(map(pow, _first_primes(len(sig)), sig))
 
 
-def _first_primes(k: int) -> list[int]:
-    primes: list[int] = []
-    c = 2
-    while len(primes) < k:
-        if all(c % p for p in primes if p * p <= c):
-            primes.append(c)
-        c += 1 if c == 2 else 2
-    return primes
+#: The primes found so far, in order.  ``_first_primes`` rebinds it to a
+#: longer tuple when asked for more and never mutates it.
+_PRIMES: tuple[int, ...] = (2,)
+
+
+def _first_primes(k: int) -> tuple[int, ...]:
+    """The first ``k`` primes, sliced from ``_PRIMES``, which is extended
+    only when ``k`` passes its length.  Calls that race to extend it each
+    slice their own tuple, so each gets its ``k`` primes."""
+    global _PRIMES
+    primes = _PRIMES
+    if len(primes) < k:
+        grown = list(primes)
+        c = grown[-1]
+        while len(grown) < k:
+            c += 1 if c == 2 else 2
+            if all(c % p for p in grown if p * p <= c):
+                grown.append(c)
+        _PRIMES = primes = tuple(grown)
+    return primes[:k]
 
 
 def spf_sieve(limit: int) -> list[int]:

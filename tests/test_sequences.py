@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from divgraph import sequences, signatures
+from divgraph import invariants, sequences, signatures
 from divgraph.errors import BFileFormatError, BudgetError
 from divgraph.invariants import all_invariants, closure_paths
 from divgraph.sequences import (
@@ -444,7 +444,7 @@ class TestSignatureOrderColumns:
     def test_closure_paths_budget_raises_where_rows_would(self, ordering, count):
         # a budget of 6 admits grades 0..6, which end at count 30
         sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
-        column = sequences._closure_paths_column
+        column = invariants.COLUMNS["PT"]
         try:
             expected = [closure_paths(sig, omega_budget=6) for sig in sigs]
         except BudgetError:

@@ -287,6 +287,13 @@ class TestLeastInteger:
         # the product of the first sixteen primes, past 2^63
         assert least_integer((1,) * 16) == 32589158477190044730
 
+    def test_square_free_after_longer_and_shorter_calls(self):
+        # the primes are kept between calls; each call must still see exactly
+        # its first len(sig) of them, whichever lengths came before
+        primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+        for k in (40, 3, 62, 0, 17, 62):
+            assert least_integer((1,) * k) == math.prod(primes[:k])
+
     @given(st.integers(min_value=1, max_value=20_000))
     def test_minimal_in_class(self, n):
         li = least_integer(signature_of(n))
