@@ -101,7 +101,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         args.omega_budget, "DIVGRAPH_OMEGA_BUDGET", invariants.DEFAULT_OMEGA_BUDGET
     )
     record = invariants.all_invariants(bounds, omega_budget=omega_budget)
-    values = dict(zip(invariants.FUNCS, record.as_tuple()))
+    values = dict(zip((key for key, *_ in invariants.TABLE), record.as_tuple()))
     key = signature_key(tuple(sorted(bounds, reverse=True)))
     if n is not None:
         extras = {"height": record.big_omega, "n": n, "signature": key}

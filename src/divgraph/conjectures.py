@@ -39,8 +39,8 @@ from typing import Iterable, Optional, Sequence
 
 from divgraph._kernels_py import _strides
 from divgraph.errors import BudgetError
-from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph, graph_order
-from divgraph.invariants import _arc_counts_from, level_arc_counts, level_node_counts
+from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
+from divgraph.invariants import _arc_counts_from, level_arc_counts, level_node_counts, order
 from divgraph.signatures import as_signature
 
 
@@ -60,7 +60,8 @@ def max_disjoint_paths(g: DivisorGraph, mode: DisjointMode) -> int:
     then i+1, and so on cyclically, runs from node 0 to the last node over
     arcs of ``g``, and no two chains share an internal node.  Raises
     ``ValueError`` when either check fails, which only a hand-built graph
-    can do.
+    or a faulty graph builder can cause; ``scan`` reports it as a
+    counterexample.
     """
     if g.kind is not GraphKind.HASSE:
         raise ValueError("max_disjoint_paths expects a Hasse diagram")
@@ -69,7 +70,7 @@ def max_disjoint_paths(g: DivisorGraph, mode: DisjointMode) -> int:
         raise ValueError("disjoint paths are undefined for the empty signature")
     bounds = g.signature
     w = len(bounds)
-    if n != graph_order(bounds) or min(bounds) < 1:
+    if min(bounds, default=0) < 1 or n != order(bounds):
         raise ValueError(f"{n} nodes do not match the bounds {bounds!r}")
     if sum(1 for a, _ in g.arcs if a == 0) != w:
         raise ValueError(f"the source does not have exactly {w} out-arcs")
@@ -117,7 +118,10 @@ def _disjoint_paths_failure(
     sig: tuple[int, ...], modes: tuple[DisjointMode, ...], node_budget: int
 ) -> Optional[tuple[object, object]]:
     g = build_graph(sig, GraphKind.HASSE, node_budget=node_budget)
-    paths = max_disjoint_paths(g, DisjointMode.NODE)  # one certificate serves every mode
+    try:
+        paths = max_disjoint_paths(g, DisjointMode.NODE)  # one certificate serves every mode
+    except ValueError as exc:  # the built graph fails the certificate
+        return str(exc), len(sig)
     if paths != len(sig):
         return dict.fromkeys((m.value for m in modes), paths), len(sig)
     return None

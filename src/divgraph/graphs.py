@@ -13,7 +13,6 @@ distances from the source) in one pass over its arcs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -64,10 +63,6 @@ class LevelProfile:
     longest: list[int]  # most arcs from node 0; -1 if unreached
 
 
-def graph_order(bounds: tuple[int, ...]) -> int:
-    return math.prod(m + 1 for m in bounds)
-
-
 def build_graph(
     bounds: tuple[int, ...],
     kind: GraphKind,
@@ -86,7 +81,7 @@ def build_graph(
     for m in bounds:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"exponent bounds must be positive integers, got {bounds!r}")
-    n = graph_order(bounds)
+    n = invariants.order(bounds)
     if n > node_budget:
         raise BudgetError(f"graph on {n} nodes exceeds node budget {node_budget}")
     if kind is GraphKind.CLOSURE:

@@ -4,8 +4,11 @@ Everything here is a pure function of the exponent multiset; no graph is
 ever built.  Every count is an exact integer, however large; the one
 refusal is the omega budget of ``closure_paths``.  ``TABLE`` lists the
 invariants once; the record type, the sequence keys and spellings, and the
-CLI output all derive from it.  The brute-force counterpart that measures
-the same quantities on an explicit graph lives in divgraph.oracle.
+CLI output all derive from it.  Each formula is written once: W_v and W_e
+read the level polynomial at the peak level that conjectures 2 and 3
+prove, with one reader each, shared by the row function and its
+signature-order column in ``COLUMNS``.  The brute-force counterpart that
+measures the same quantities on an explicit graph lives in divgraph.oracle.
 """
 
 from __future__ import annotations
@@ -29,21 +32,14 @@ def order(parts: Iterable[int]) -> int:
 
 
 def hasse_size(parts: Iterable[int]) -> int:
-    """Arc count of the Hasse diagram, by the peel-one-exponent recursion.
+    """Arc count of the Hasse diagram: sum_i m_i |V| / (m_i + 1).
 
-    The lattice is a Cartesian product of paths, and the size of a product
-    is size(A)*order(B) + order(A)*size(B); peeling one exponent at a time
-    gives |E(M)| = |E(M - m)|*(m+1) + m*|V(M - m)|, with |E((m))| = m.
+    An arc raises one coordinate i from one of its m_i lower values, whatever
+    the other coordinates are, and those range over |V| / (m_i + 1) vectors.
     """
-    sig = as_signature(parts)
-    if not sig:
-        return 0
-    edges = sig[0]
-    nodes = sig[0] + 1
-    for m in sig[1:]:
-        edges = edges * (m + 1) + m * nodes
-        nodes *= m + 1
-    return edges
+    sig = tuple(parts)
+    nodes = order(sig)  # also validates the parts
+    return sum(m * (nodes // (m + 1)) for m in sig)
 
 
 def level_node_counts(parts: Iterable[int]) -> list[int]:
@@ -140,34 +136,28 @@ def _arc_count_at(poly: list[int], groups: Iterable[tuple[int, int]], level: int
     return total
 
 
+def _middle_nodes(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
+    """Nodes on level floor(Omega/2), the widest (conjecture 2's theorem)."""
+    return poly[omega // 2]
+
+
+def _middle_arcs(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
+    """Arcs leaving level floor((Omega-1)/2), the most (conjecture 3's
+    theorem); 0 for the empty signature."""
+    return _arc_count_at(poly, Counter(sig).items(), (omega - 1) // 2) if omega else 0
+
+
 def width_nodes(parts: Iterable[int]) -> int:
-    """W_v: largest level by node count."""
-    return max(level_node_counts(parts))
-
-
-def _node_width_column(sigs: list[PrimeSignature]) -> list[int]:
-    """W_v over a graded-order prefix: the middle coefficient of the level
-    polynomial (conjecture 2's theorem)."""
-    return _prefix_column(sigs, [1], _times_window, lambda sig, omega, poly: poly[omega // 2])
+    """W_v: largest level by node count, read at its proven peak floor(Omega/2)."""
+    sig = as_signature(parts)
+    return _middle_nodes(sig, sum(sig), level_node_counts(sig))
 
 
 def width_arcs(parts: Iterable[int]) -> int:
-    """W_e: largest level by leaving-arc count; 0 for the empty signature."""
-    counts = level_arc_counts(parts)
-    return max(counts) if counts else 0
-
-
-def _arc_width_column(sigs: list[PrimeSignature]) -> list[int]:
-    """W_e over a graded-order prefix: the arcs leaving level floor((Omega-1)/2)
-    (conjecture 3's theorem)."""
-
-    def read(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
-        if not omega:
-            return 0
-        groups = [(m, sig.count(m)) for m in set(sig)]
-        return _arc_count_at(poly, groups, (omega - 1) // 2)
-
-    return _prefix_column(sigs, [1], _times_window, read)
+    """W_e: largest level by leaving-arc count, read at its proven peak
+    floor((Omega-1)/2); 0 for the empty signature."""
+    sig = as_signature(parts)
+    return _middle_arcs(sig, sum(sig), level_node_counts(sig))
 
 
 def degree(parts: Iterable[int]) -> int:
@@ -208,9 +198,9 @@ def closure_size(parts: Iterable[int]) -> int:
     prod (m_i+1)(m_i+2)/2, and every node contributes its proper divisors
     as incoming arcs, so |E^T| = prod (m_i+1)(m_i+2)/2 - |V|.
     """
-    sig = as_signature(parts)
-    total = math.prod((m + 1) * (m + 2) // 2 for m in sig)
-    return total - math.prod(m + 1 for m in sig)
+    sig = tuple(parts)
+    nodes = order(sig)  # also validates the parts
+    return math.prod((m + 1) * (m + 2) // 2 for m in sig) - nodes
 
 
 def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUDGET) -> int:
@@ -235,9 +225,8 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     if total <= 1:
         return 1
     multichains = [1] * total  # M(j) for j = 1..Omega
-    for m in set(sig):
+    for m, mult in Counter(sig).items():
         row = _multichain_row(m, total)
-        mult = sig.count(m)
         multichains = list(map(mul, multichains, row if mult == 1 else map(pow, row, repeat(mult))))
     return sum(map(mul, _closure_weights(total), multichains))
 
@@ -323,17 +312,14 @@ TABLE = (
     ("PT", "closure_paths", closure_paths, ("|p^t|", "p^t", "pt")),
 )
 
-#: Key -> function, in table-row order.  Callers go through this plain dict,
-#: not through TABLE, so that a wrapper installed here (perfbench/spans.py
-#: traces closure_paths this way) is the function that runs.
-FUNCS = {key: func for key, _, func, _ in TABLE}
-
 #: Key -> the row's whole column over a prefix of a graded signature order,
 #: built in one walk of the partition tree, for the rows that have one.
-#: Each equals ``list(map(FUNCS[key], sigs))``.
+#: Each equals the row function mapped over ``sigs``; ``Wv`` and ``We`` read
+#: each level polynomial with the same function as ``width_nodes`` and
+#: ``width_arcs``.
 COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
-    "Wv": _node_width_column,
-    "We": _arc_width_column,
+    "Wv": lambda sigs: _prefix_column(sigs, [1], _times_window, _middle_nodes),
+    "We": lambda sigs: _prefix_column(sigs, [1], _times_window, _middle_arcs),
     "PT": _closure_paths_column,
 }
 
@@ -364,6 +350,6 @@ def all_invariants(
     return InvariantRecord(
         *(
             closure_paths(sig, omega_budget=omega_budget) if key == "PT" else func(sig)
-            for key, func in FUNCS.items()
+            for key, _, func, _ in TABLE
         )
     )

@@ -5,10 +5,10 @@ recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
 certificate, by trial division instead of Miller–Rabin and Pollard's rho,
 by stride-offset sums instead of shifted up-sets, by polynomial
-convolution instead of running sums, by a loop per multiple instead of
-slice assignment, by recursion instead of from earlier partition grades,
-or row by row through ``SequenceEntry`` objects instead of over a table's
-columns.
+convolution instead of running sums, by the largest level instead of the
+proven peak level, by a loop per multiple instead of slice assignment, by
+recursion instead of from earlier partition grades, or row by row through
+``SequenceEntry`` objects instead of over a table's columns.
 """
 
 import csv
@@ -23,6 +23,7 @@ from divgraph._kernels_py import _strides, enumerate_nodes
 from divgraph.conjectures import DisjointMode
 from divgraph.errors import BFileFormatError
 from divgraph.graphs import DivisorGraph, GraphKind
+from divgraph.invariants import level_arc_counts, level_node_counts
 from divgraph.sequences import EmitFormat, MatchReport, Ordering, SequenceTable
 from divgraph.signatures import INT_BOUND, SignatureOrder, as_signature, signature_key
 
@@ -277,6 +278,17 @@ def level_arc_counts_by_convolution(parts) -> list[int]:
         for l, c in enumerate(clamped):
             counts[l] += c
     return counts
+
+
+def width_nodes_by_max(parts) -> int:
+    """W_v as the largest node count over every level."""
+    return max(level_node_counts(parts))
+
+
+def width_arcs_by_max(parts) -> int:
+    """W_e as the largest leaving-arc count over every level; 0 for the
+    empty signature."""
+    return max(level_arc_counts(parts), default=0)
 
 
 def spf_sieve_by_loops(limit: int) -> list[int]:

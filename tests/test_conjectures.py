@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from divgraph import cli, conjectures
+from divgraph import cli, conjectures, kernels
 from divgraph.conjectures import (
     DisjointMode,
     check_argmax_coincidence,
@@ -260,6 +260,19 @@ class TestScan:
         assert report.checked == 1
         assert report.to_dict()["counterexamples"] == [
             {"signature": [2, 1], "observed": {"node": 3, "arc": 3}, "expected": 2}
+        ]
+        assert cli.main(["conjectures", "--id", "1", "--max-omega", "3"]) == 3
+        assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == 6  # partitions of 1, 2, 3
+
+    def test_failed_certificate_is_a_counterexample(self, monkeypatch, capsys):
+        # a kernel that drops the last arc builds diagrams that fail the certificate
+        hasse_arcs = kernels.hasse_arcs
+        monkeypatch.setattr(kernels, "hasse_arcs", lambda bounds: hasse_arcs(bounds)[:-1])
+        report = scan(1, [(1,), (2, 1)])
+        assert report.checked == 2 and report.skipped == []
+        assert report.to_dict()["counterexamples"] == [
+            {"signature": [1], "observed": "the source does not have exactly 1 out-arcs", "expected": 1},
+            {"signature": [2, 1], "observed": "chain 0 misses the arc (4, 5)", "expected": 2},
         ]
         assert cli.main(["conjectures", "--id", "1", "--max-omega", "3"]) == 3
         assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == 6  # partitions of 1, 2, 3

@@ -12,7 +12,6 @@ from divgraph.graphs import (
     GraphKind,
     build_graph,
     divisor_value,
-    graph_order,
     level_profile,
     to_dot,
     to_json,
@@ -196,7 +195,3 @@ class TestSerialization:
         )
         assert rebuilt.nodes == g.nodes
         assert rebuilt.arcs == g.arcs
-
-    def test_graph_order_helper(self):
-        assert graph_order((2, 3, 1)) == 24
-        assert graph_order(()) == 1

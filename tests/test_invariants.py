@@ -33,6 +33,8 @@ from _reference import (
     hasse_paths_recursive,
     level_arc_counts_by_convolution,
     level_node_counts_by_convolution,
+    width_arcs_by_max,
+    width_nodes_by_max,
 )
 
 signatures = st.lists(st.integers(min_value=1, max_value=5), max_size=5).map(
@@ -43,7 +45,7 @@ shuffles = st.randoms(use_true_random=False)
 
 class TestOrder:
     @pytest.mark.parametrize(
-        "sig,expected", [((2, 1), 6), ((), 1), ((4, 4), 25), ((2, 2, 1), 18)]
+        "sig,expected", [((2, 1), 6), ((), 1), ((4, 4), 25), ((2, 2, 1), 18), ((2, 3, 1), 24)]
     )
     def test_examples(self, sig, expected):
         assert order(sig) == expected
@@ -66,7 +68,7 @@ class TestHasseSize:
                 return sig[0]
             return literal(sig[:-1]) * (sig[-1] + 1) + sig[-1] * order(sig[:-1])
 
-        for sig in small_corpus(8):
+        for sig in [*small_corpus(8), (2**40, 2**40), (1,) * 60, (5000, 3, 3)]:
             if sig:
                 assert hasse_size(sig) == literal(sig)
 
@@ -126,6 +128,18 @@ class TestWidths:
     def test_empty_signature_conventions(self):
         assert width_nodes(()) == 1
         assert width_arcs(()) == 0
+
+    @given(signatures, shuffles)
+    def test_peak_level_equals_max_over_levels(self, sig, rng):
+        mixed = list(sig)
+        rng.shuffle(mixed)
+        assert width_nodes(mixed) == width_nodes_by_max(sig)
+        assert width_arcs(mixed) == width_arcs_by_max(sig)
+
+    @pytest.mark.parametrize("sig", [(1,) * 300, (3,) * 60, (40, 1), (7, 5, 5, 2)])
+    def test_peak_level_equals_max_over_levels_past_the_omega_budget(self, sig):
+        assert width_nodes(sig) == width_nodes_by_max(sig)
+        assert width_arcs(sig) == width_arcs_by_max(sig)
 
 
 class TestDegree:
