@@ -10,9 +10,10 @@ and the number of signatures that ``--max-omega`` covers; it is checked
 before any sieve or signature list is made.  All numeric output is full
 decimal, however many digits it has.
 
-Exit codes: 0 success; 1 an error (bad input, budget exceeded) or, for
-compare, a value mismatch; 2 a command-line usage error or, for compare, an
-input it cannot compare against; 3 a conjecture counterexample was found.
+Exit codes: 0 success; 1 an error (bad input, budget exceeded, an --out
+that cannot be written) or, for compare, a value mismatch; 2 a command-line
+usage error or, for compare, any failure to compare or to write the report;
+3 a conjecture counterexample was found.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from divgraph.signatures import (
     natural_signatures,
     parse_signature_key,
     partition_count,
-    partitions_of,
     signature_key,
 )
 
@@ -71,12 +71,20 @@ def _resolve_target(args: argparse.Namespace) -> tuple[tuple[int, ...], Optional
     return parse_signature_key(args.sig), None
 
 
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 @contextlib.contextmanager
@@ -101,7 +109,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         args.omega_budget, "DIVGRAPH_OMEGA_BUDGET", invariants.DEFAULT_OMEGA_BUDGET
     )
     record = invariants.all_invariants(bounds, omega_budget=omega_budget)
-    values = dict(zip((key for key, *_ in invariants.TABLE), record.as_tuple()))
+    values = dict(zip((key for key, *_ in invariants.TABLE), record))
     key = signature_key(tuple(sorted(bounds, reverse=True)))
     if n is not None:
         extras = {"height": record.big_omega, "n": n, "signature": key}
@@ -142,10 +150,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         with open(args.bfile, "rb") as fh:
             reference = fh.read()
         report = sequences.compare_bfile(table, reference)
+        _write_out(json.dumps(report.to_dict()) + "\n", args.out)
     except (OSError, ValueError, BudgetError) as exc:  # BFileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(json.dumps(report.to_dict()) + "\n", args.out)
     return 0 if report.full_match else 1
 
 
@@ -156,8 +164,7 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         "both": (conj.DisjointMode.NODE, conj.DisjointMode.ARC),
     }[args.mode]
     if args.id == 1:
-        if args.max_omega < 1:
-            raise ValueError(f"--max-omega must be at least 1, got {args.max_omega}")
+        _check_positive("--max-omega", args.max_omega)
         size = 0
         for k in range(1, args.max_omega + 1):  # stops soon after the budget is passed
             size += partition_count(k)
@@ -166,13 +173,15 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
                     f"--max-omega {args.max_omega} scans at least {size} signatures,"
                     f" more than the size budget {SIZE_BUDGET}"
                 )
-        sigs = [s for k in range(1, args.max_omega + 1) for s in partitions_of(k)]
+        sigs = enumerate_signatures(SignatureOrder.CANONICAL, size + 1)[1:]
         scope = f"all signatures with 1 <= Omega <= {args.max_omega}"
     elif args.id == 2:
+        _check_positive("--max-n", args.max_n)
         check_size("--max-n", args.max_n)
         sigs = sorted(set(natural_signatures(args.max_n)))
         scope = f"signatures of n <= {args.max_n}"
     elif args.id == 3:
+        _check_positive("--colex-count", args.colex_count)
         check_size("--colex-count", args.colex_count)
         sigs = enumerate_signatures(SignatureOrder.GRADED_COLEX, args.colex_count)
         scope = f"first {args.colex_count} graded-colex signatures"

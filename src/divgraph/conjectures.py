@@ -2,7 +2,7 @@
 
 1. The maximum number of pairwise disjoint source-to-sink paths in a Hasse
    diagram equals the number of distinct primes (node- and arc-disjoint).
-2. The node width is attained at the middle level ceil(Omega/2).
+2. The node width is attained at the middle level floor(Omega/2).
 3. Some level maximizes the node count and the leaving-arc count at once
    (argmax sets over levels 0..Omega-1 intersect).
 
@@ -22,7 +22,9 @@ the rank sequence with m_i lowered by 1; each is symmetric about
 ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).
 ``invariants.level_arc_counts`` computes the arc counts by that same
 identity, from the rank sequence; the tests pin them to the counts that
-``graphs.level_profile`` reads off built Hasse diagrams.
+``graphs.level_profile`` reads off built Hasse diagrams.  The conjecture 2
+scan reads the middle level with ``invariants._middle_nodes``, the reader
+behind W_v, so it checks that reader too.
 
 Scans never assert truth; they produce reports, and an empty counterexample
 list is evidence on the scanned range only.
@@ -31,16 +33,16 @@ list is evidence on the scanned range only.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from divgraph import invariants
 from divgraph._kernels_py import _strides
 from divgraph.errors import BudgetError
 from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
-from divgraph.invariants import _arc_counts_from, level_arc_counts, level_node_counts, order
+from divgraph.invariants import _arc_counts_from, level_node_counts, order
 from divgraph.signatures import as_signature
 
 
@@ -70,7 +72,7 @@ def max_disjoint_paths(g: DivisorGraph, mode: DisjointMode) -> int:
         raise ValueError("disjoint paths are undefined for the empty signature")
     bounds = g.signature
     w = len(bounds)
-    if min(bounds, default=0) < 1 or n != order(bounds):
+    if n != order(bounds):  # order also refuses bounds that are not positive integers
         raise ValueError(f"{n} nodes do not match the bounds {bounds!r}")
     if sum(1 for a, _ in g.arcs if a == 0) != w:
         raise ValueError(f"the source does not have exactly {w} out-arcs")
@@ -92,22 +94,13 @@ def max_disjoint_paths(g: DivisorGraph, mode: DisjointMode) -> int:
 
 
 def check_middle_width(parts: Iterable[int]) -> bool:
-    """Does the node width equal the node count at level ceil(Omega/2)?"""
-    counts = level_node_counts(parts)
-    middle = math.ceil((len(counts) - 1) / 2)
-    return max(counts) == counts[middle]
+    """Does the node width equal the node count at level floor(Omega/2)?"""
+    return _middle_width_failure(as_signature(parts)) is None
 
 
 def check_argmax_coincidence(parts: Iterable[int]) -> bool:
     """Do the node-count and arc-count argmax sets over 0..Omega-1 intersect?"""
-    sig = as_signature(parts)
-    if not sig:
-        raise ValueError("argmax coincidence is undefined for the empty signature")
-    poly = level_node_counts(sig)
-    node_counts = poly[:-1]  # levels 0..Omega-1
-    arc_counts = _arc_counts_from(poly, sig)
-    top_nodes, top_arcs = max(node_counts), max(arc_counts)
-    return any(a == top_arcs for v, a in zip(node_counts, arc_counts) if v == top_nodes)
+    return _argmax_failure(as_signature(parts)) is None
 
 
 # Each check returns None when the conjecture holds for the signature, else
@@ -128,17 +121,21 @@ def _disjoint_paths_failure(
 
 
 def _middle_width_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
-    if check_middle_width(sig):
-        return None
     counts = level_node_counts(sig)
-    return counts[math.ceil((len(counts) - 1) / 2)], max(counts)
+    middle, width = invariants._middle_nodes(sig, len(counts) - 1, counts), max(counts)
+    return None if middle == width else (middle, width)
 
 
 def _argmax_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
-    if check_argmax_coincidence(sig):
+    if not sig:
+        raise ValueError("argmax coincidence is undefined for the empty signature")
+    poly = level_node_counts(sig)
+    node_counts = poly[:-1]  # levels 0..Omega-1
+    arc_counts = _arc_counts_from(poly, sig)
+    top_nodes, top_arcs = max(node_counts), max(arc_counts)
+    if any(a == top_arcs for v, a in zip(node_counts, arc_counts) if v == top_nodes):
         return None
-    observed = {"node_counts": level_node_counts(sig)[:-1], "arc_counts": level_arc_counts(sig)}
-    return observed, "coinciding argmax level"
+    return {"node_counts": node_counts, "arc_counts": arc_counts}, "coinciding argmax level"
 
 
 @dataclass(frozen=True)

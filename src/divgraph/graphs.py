@@ -75,12 +75,10 @@ def build_graph(
     ``bounds`` is an exponent tuple; any coordinate order is accepted and
     preserved, so vectors line up with a factorization's prime order.  The
     node count, and for a closure its arc count by the ``closure_size``
-    formula, are checked against the budgets before anything is built.
+    formula, are checked against the budgets before anything is built;
+    ``invariants.order`` refuses bounds that are not positive integers.
     """
     bounds = tuple(bounds)
-    for m in bounds:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"exponent bounds must be positive integers, got {bounds!r}")
     n = invariants.order(bounds)
     if n > node_budget:
         raise BudgetError(f"graph on {n} nodes exceeds node budget {node_budget}")

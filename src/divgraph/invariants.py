@@ -14,8 +14,7 @@ measures the same quantities on an explicit graph lives in divgraph.oracle.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import asdict, astuple, make_dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Callable, Iterable
@@ -323,17 +322,17 @@ COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
     "PT": _closure_paths_column,
 }
 
-InvariantRecord = make_dataclass(
-    "InvariantRecord",
-    [(field, int) for _, field, _, _ in TABLE],
-    frozen=True,
-    namespace={
-        "__module__": __name__,
-        "__doc__": "The fourteen invariants of one signature class, in table-row order.",
-        "as_tuple": astuple,
-        "as_dict": asdict,
-    },
-)
+
+class InvariantRecord(namedtuple("InvariantRecord", [field for _, field, _, _ in TABLE])):
+    """The fourteen invariants of one signature class, in table-row order."""
+
+    __slots__ = ()
+
+    def as_tuple(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    def as_dict(self) -> dict[str, int]:
+        return self._asdict()
 
 
 def all_invariants(

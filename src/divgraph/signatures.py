@@ -131,13 +131,6 @@ def _rho(n: int) -> int:
             return g
 
 
-def factorization_value(f: Factorization) -> int:
-    prod = 1
-    for p, e in f:
-        prod *= p**e
-    return prod
-
-
 def signature_of(n: int) -> PrimeSignature:
     """Prime signature of ``n``: the exponent multiset, sorted descending."""
     return tuple(sorted((e for _, e in factorize(n)), reverse=True))

@@ -9,6 +9,7 @@ convolution instead of running sums, by the largest level instead of the
 proven peak level, by a loop per multiple instead of slice assignment, by
 recursion instead of from earlier partition grades, or row by row through
 ``SequenceEntry`` objects instead of over a table's columns.
+``factorization_value`` multiplies a factorization back out, to check it.
 """
 
 import csv
@@ -180,6 +181,11 @@ def transitive_reduction_arcs(gT: DivisorGraph) -> set[tuple[int, int]]:
         if not any((a, c) in arc_set and (c, b) in arc_set for c in range(a + 1, b)):
             kept.add((a, b))
     return kept
+
+
+def factorization_value(f) -> int:
+    """The integer that a ((prime, exponent), ...) factorization multiplies out to."""
+    return math.prod(p**e for p, e in f)
 
 
 def factorize_by_trial_division(n: int, *, bound: int = INT_BOUND):

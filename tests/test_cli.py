@@ -334,6 +334,27 @@ class TestGraph:
         assert target.read_text().startswith("digraph hasse {")
 
 
+class TestUnwritableOut:
+    """An --out that cannot be opened is an error message, not a traceback;
+    compare reports it with its exit 2, which keeps 1 for a value mismatch."""
+
+    ARGVS = [
+        (["invariants", "--n", "5"], 1),
+        (["sequence", "--inv", "V", "--count", "5"], 1),
+        (["graph", "--sig", "2.1"], 1),
+        (["compare", "--inv", "V", "--count", "40", "--bfile", str(DATA / "b000005.txt")], 2),
+        (["conjectures", "--id", "2", "--max-n", "30"], 1),
+    ]
+
+    @pytest.mark.parametrize("argv, code", ARGVS, ids=[argv[0] for argv, _ in ARGVS])
+    @pytest.mark.parametrize("target", ["missing-dir/out", "."], ids=["missing-dir", "a-dir"])
+    def test_error_and_exit_code(self, capsys, tmp_path, argv, code, target):
+        got, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
+
 class TestInProcess:
     def test_calls_in_one_process_share_no_state(self, capsys):
         cli._parser.cache_clear()
@@ -419,6 +440,14 @@ class TestConjectures:
         assert out == ""
         assert "--max-omega must be at least 1" in err
 
+    @pytest.mark.parametrize("conjecture, flag", [("1", "--max-omega"), ("2", "--max-n"),
+                                                  ("3", "--colex-count")])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_vacuous_scan_names_its_flag(self, capsys, conjecture, flag, value):
+        code, out, err = run(capsys, "conjectures", "--id", conjecture, flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
+
     def test_conjecture_2_scan(self, capsys):
         code, out, _ = run(capsys, "conjectures", "--id", "2", "--max-n", "2000")
         assert code == 0
@@ -485,7 +514,6 @@ class TestSizeBudget:
         monkeypatch.setattr(signatures, "spf_sieve", forbidden)
         for module in (signatures, sequences, cli):
             monkeypatch.setattr(module, "enumerate_signatures", forbidden)
-        monkeypatch.setattr(cli, "partitions_of", forbidden)
 
     @pytest.mark.parametrize("argv, code, message", REFUSED)
     def test_refused_up_front(self, capsys, no_allocation, argv, code, message):
@@ -517,7 +545,8 @@ class TestSizeBudget:
 # nodes, sequences at most 300 entries, scans at most Omega 6, n 3000 or 300
 # signatures, and an invariant's Omega at most 72.  Budgets from flags and
 # the environment can refuse some of that work but never allow more.  Sizes
-# past the size budget, up to 2^64, are drawn too: they must be refused.
+# past the size budget, up to 2^64, are drawn too: they must be refused, and
+# so must an --out in a directory that does not exist.
 
 _budget_text = st.one_of(st.integers(-2, 60).map(str), st.sampled_from(["", "x", "1e3"]))
 _env_names = ["DIVGRAPH_NODE_BUDGET", "DIVGRAPH_ARC_BUDGET", "DIVGRAPH_OMEGA_BUDGET"]
@@ -546,6 +575,7 @@ _invariant_names = st.sampled_from(
      "ET", "PT", "LI", "w_e", "bogus"]
 )
 _count = st.one_of(st.integers(-1, 300), st.integers(SIZE_BUDGET + 1, 2**64))
+_missing_out = _optional("--out", st.just(DATA / "missing-dir" / "out"))
 
 _argvs = st.one_of(
     st.tuples(
@@ -553,6 +583,7 @@ _argvs = st.one_of(
         _target(12, 6),
         _optional("--format", st.sampled_from(["text", "json", "xml"])),
         _optional("--omega-budget", st.integers(-2, 80)),
+        _missing_out,
     ),
     st.tuples(
         st.just(["sequence"]),
@@ -560,6 +591,7 @@ _argvs = st.one_of(
         _optional("--order", st.sampled_from(["natural", "colex", "canonical", "random"])),
         _optional("--count", _count),
         _optional("--format", st.sampled_from(["csv", "json", "bfile"])),
+        _missing_out,
     ),
     st.tuples(
         st.just(["graph"]),
@@ -568,6 +600,7 @@ _argvs = st.one_of(
         _optional("--format", st.sampled_from(["dot", "json"])),
         _optional("--node-budget", st.integers(-1, 700)),
         _optional("--arc-budget", st.integers(-1, 60_000)),
+        _missing_out,
     ),
     st.tuples(
         st.just(["compare"]),
@@ -577,6 +610,7 @@ _argvs = st.one_of(
         st.sampled_from(["b000005.txt", "b002033.txt", "missing.txt"]).map(
             lambda name: ["--bfile", str(DATA / name)]
         ),
+        _missing_out,
     ),
     st.tuples(
         st.just(["conjectures"]),
@@ -586,6 +620,7 @@ _argvs = st.one_of(
         _optional("--max-n", st.one_of(st.integers(-1, 3000), st.integers(SIZE_BUDGET + 1, 2**64))),
         _optional("--colex-count", _count),
         _optional("--node-budget", st.integers(-1, 700)),
+        _missing_out,
     ),
 ).map(lambda pieces: [arg for piece in pieces for arg in piece])
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from divgraph import cli, conjectures, kernels
+from divgraph import cli, conjectures, invariants, kernels
 from divgraph.conjectures import (
     DisjointMode,
     check_argmax_coincidence,
@@ -15,6 +15,7 @@ from divgraph.conjectures import (
     scan,
 )
 from divgraph.graphs import GraphKind, build_graph
+from divgraph.invariants import width_nodes
 from divgraph.signatures import partitions_of
 
 from _reference import max_disjoint_paths_by_flow
@@ -119,6 +120,7 @@ class TestMaxDisjointPaths:
             pytest.param((2, 1, 1), lambda g: {"nodes": g.nodes[:-1]}, id="node-count-mismatch"),
             # a lone chain meets no other, so only the node-count check catches this
             pytest.param((3,), lambda g: {"nodes": g.nodes[:-1]}, id="node-count-mismatch-chain"),
+            pytest.param((2, 1), lambda g: {"signature": ()}, id="empty-bounds"),
         ],
     )
     def test_tampered_graph_raises(self, bounds, tamper):
@@ -127,6 +129,12 @@ class TestMaxDisjointPaths:
         for mode in DisjointMode:
             with pytest.raises(ValueError):
                 max_disjoint_paths(bad, mode)
+
+    @pytest.mark.parametrize("bounds", [(2, 0), (True,), (1.5,), (0, 1)])
+    def test_tampered_bounds_refused(self, bounds):
+        bad = dataclasses.replace(build_graph((1,), GraphKind.HASSE), signature=bounds)
+        with pytest.raises(ValueError, match="positive integers"):
+            max_disjoint_paths(bad, DisjointMode.NODE)
 
     def test_empty_signature_rejected(self):
         g = build_graph((), GraphKind.HASSE)
@@ -230,15 +238,16 @@ class TestScan:
         assert payload["elapsed_seconds"] >= 0
 
     def test_counterexample_surfaces(self, monkeypatch, capsys):
-        # both checks are true theorems on these inputs, so break them
-        monkeypatch.setattr(conjectures, "check_middle_width", lambda parts: False)
-        monkeypatch.setattr(conjectures, "check_argmax_coincidence", lambda parts: False)
+        # both checks are true theorems, so feed them level lists they refute:
+        # node counts that are not unimodal, and arc counts that peak elsewhere
+        monkeypatch.setattr(conjectures, "level_node_counts", lambda parts: [3, 1, 2, 1])
+        monkeypatch.setattr(conjectures, "_arc_counts_from", lambda poly, sig: [1, 4, 1])
 
         report = scan(2, [(), (4, 2)])
         assert not report.ok and report.checked == 2 and report.skipped == []
         assert [c.signature for c in report.counterexamples] == [(), (4, 2)]
-        # (4, 2) has levels [1, 2, 3, 3, 3, 2, 1]: middle count, then the width
-        assert (report.counterexamples[1].observed, report.counterexamples[1].expected) == (3, 3)
+        # Omega reads 3 off the list: level 1 holds 1 node, the width is 3
+        assert (report.counterexamples[1].observed, report.counterexamples[1].expected) == (1, 3)
 
         report = scan(3, [(), (2, 1)])
         assert report.checked == 1 and report.skipped == [((), "empty signature")]
@@ -246,7 +255,7 @@ class TestScan:
         assert payload == [
             {
                 "signature": [2, 1],
-                "observed": {"node_counts": [1, 2, 2], "arc_counts": [2, 3, 2]},
+                "observed": {"node_counts": [3, 1, 2], "arc_counts": [1, 4, 1]},
                 "expected": "coinciding argmax level",
             }
         ]
@@ -263,6 +272,18 @@ class TestScan:
         ]
         assert cli.main(["conjectures", "--id", "1", "--max-omega", "3"]) == 3
         assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == 6  # partitions of 1, 2, 3
+
+    def test_middle_width_reads_the_shared_reader(self, monkeypatch):
+        # W_v and the conjecture 2 scan read the middle level with one function;
+        # a reader moved to level 0 shows in both
+        monkeypatch.setattr(invariants, "_middle_nodes", lambda sig, omega, poly: poly[0])
+        assert width_nodes((2, 1)) == 1
+        report = scan(2, [(), (1,), (2, 1), (4, 2)])
+        assert report.checked == 4
+        assert [(c.signature, c.observed, c.expected) for c in report.counterexamples] == [
+            ((2, 1), 1, 2),
+            ((4, 2), 1, 3),
+        ]
 
     def test_failed_certificate_is_a_counterexample(self, monkeypatch, capsys):
         # a kernel that drops the last arc builds diagrams that fail the certificate

@@ -50,8 +50,10 @@ class TestBuildGraph:
             build_graph((1,) * 64, GraphKind.CLOSURE, node_budget=2**64)
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            build_graph((2, 0), GraphKind.HASSE)
+        for bounds in [(2, 0), (0,), (-1, 2), (True,), (1.5,), ("2",)]:
+            for kind in GraphKind:
+                with pytest.raises(ValueError, match="positive integers"):
+                    build_graph(bounds, kind)
 
     def test_nodes_lexicographic(self):
         g = build_graph((1, 2), GraphKind.HASSE)

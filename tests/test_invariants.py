@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from divgraph.errors import BudgetError
 from divgraph.graphs import GraphKind, build_graph, level_profile
 from divgraph.invariants import (
+    TABLE,
     all_invariants,
     arc_parity,
     closure_paths,
@@ -300,6 +301,17 @@ class TestHeightAndBundle:
     def test_table_column_for_12(self):
         rec = all_invariants((2, 1))
         assert rec.as_tuple() == (6, 7, 3, 2, 2, 3, 3, 3, 3, 3, 4, 3, 12, 8)
+
+    @pytest.mark.parametrize("sig", [(), (2, 1), (5, 3, 3, 1), (2000,)])
+    def test_record_views(self, sig):
+        rec = all_invariants(sig, omega_budget=2000)
+        fields = [field for _, field, _, _ in TABLE]
+        assert rec.as_tuple() == tuple(getattr(rec, field) for field in fields)
+        as_dict = rec.as_dict()
+        assert list(as_dict) == fields
+        assert all(as_dict[field] is getattr(rec, field) for field in fields)
+        assert type(rec)(**as_dict) == rec
+        assert repr(rec).startswith(f"InvariantRecord(order={rec.order}, hasse_size=")
 
     @given(signatures, shuffles)
     def test_permutation_invariance(self, sig, rng):

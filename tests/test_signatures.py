@@ -14,7 +14,6 @@ from divgraph.signatures import (
     as_signature,
     check_size,
     enumerate_signatures,
-    factorization_value,
     factorize,
     least_integer,
     natural_signatures,
@@ -29,6 +28,7 @@ from divgraph.signatures import (
 )
 
 from _reference import (
+    factorization_value,
     factorize_by_trial_division,
     partitions_by_recursion,
     signatures_by_recursion,
