@@ -15,8 +15,6 @@ import itertools
 
 def enumerate_nodes(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic."""
-    if not bounds:
-        return [()]
     return list(itertools.product(*(range(m + 1) for m in bounds)))
 
 
@@ -41,8 +39,6 @@ def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     ``map`` and list concatenation.  A tail's arcs are its up-set minus
     itself; the work is linear in the arc count.
     """
-    if not bounds:
-        return []
     ups = [[0]]  # the up-set of the one node over no coordinates
     size = 1
     for m in reversed(bounds):
@@ -63,8 +59,6 @@ def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
 def hasse_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     """Arcs of the Hasse diagram: bump one coordinate by one, which moves
     the index by that coordinate's stride."""
-    if not bounds:
-        return []
     w = len(bounds)
     strides = _strides(bounds)
     arcs: list[tuple[int, int]] = []

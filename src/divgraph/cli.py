@@ -7,8 +7,10 @@ The arc budget bounds the arcs of a ``graph --kind closure`` and is checked
 before the closure is built.  One fixed size budget, ``SIZE_BUDGET`` in
 ``divgraph.signatures``, bounds ``--count``, ``--max-n``, ``--colex-count``
 and the number of signatures that ``--max-omega`` covers; it is checked
-before any sieve or signature list is made.  All numeric output is full
-decimal, however many digits it has.
+before any sieve or signature list is made.  A conjecture 1 scan builds one
+Hasse diagram per signature, and the node budget bounds their summed order
+before the first is built.  All numeric output is full decimal, however
+many digits it has.
 
 Exit codes: 0 success; 1 an error (bad input, budget exceeded, an --out
 that cannot be written) or, for compare, a value mismatch; 2 a command-line
@@ -158,11 +160,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_conjectures(args: argparse.Namespace) -> int:
-    modes = {
-        "node": (conj.DisjointMode.NODE,),
-        "arc": (conj.DisjointMode.ARC,),
-        "both": (conj.DisjointMode.NODE, conj.DisjointMode.ARC),
-    }[args.mode]
     if args.id == 1:
         _check_positive("--max-omega", args.max_omega)
         size = 0
@@ -188,7 +185,12 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown conjecture id {args.id}")
     node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
-    report = conj.scan(args.id, sigs, modes=modes, node_budget=node_budget, scope=scope)
+    if args.id == 1 and (nodes := sum(map(invariants.order, sigs))) > node_budget:
+        raise BudgetError(
+            f"--max-omega {args.max_omega} builds {nodes} nodes in all,"
+            f" more than the node budget {node_budget}"
+        )
+    report = conj.scan(args.id, sigs, node_budget=node_budget, scope=scope)
     _write_out(report.to_json() + "\n", args.out)
     return 0 if report.ok else 3
 
@@ -240,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjectures", help="scan a conjecture for counterexamples")
     p_conj.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
-    p_conj.add_argument("--mode", choices=["node", "arc", "both"], default="both")
+    p_conj.add_argument("--mode", choices=["node", "arc", "both"], default="both",
+                        help="id 1: node- or arc-disjoint; one certificate covers both")
     p_conj.add_argument(
         "--max-omega", type=int, default=8,
         help=f"id 1: every signature with 1 <= Omega <= MAX_OMEGA; at most {SIZE_BUDGET}"

@@ -11,9 +11,10 @@ builder and the formulas.  Conjecture 1: every path leaves the source by one
 of its omega arcs, so at most omega paths are disjoint.  Chain i raises
 coordinate i to its bound, then i+1, and so on cyclically; an internal node
 of chain i is nonzero on a cyclic interval of coordinates that starts at i,
-so the omega chains share no internal node and Menger's theorem (1927)
-gives exactly omega.  ``max_disjoint_paths`` checks that certificate on the
-built graph.  Conjecture 2: the lattice is a product of chains, which has a
+so the omega chains share no internal node, hence no arc, and Menger's
+theorem (1927) gives exactly omega either way.  ``max_disjoint_paths``
+checks it on the built graph, with index steps read off the source's
+arcs.  Conjecture 2: the lattice is a product of chains, which has a
 symmetric chain decomposition (de Bruijn, van Ebbenhorst Tengbergen and
 Kruyswijk, 1951), so its level sizes are symmetric and unimodal.
 Conjecture 3: the arcs leaving level l number sum_i N^(i)_l, where N^(i) is
@@ -39,7 +40,6 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from divgraph import invariants
-from divgraph._kernels_py import _strides
 from divgraph.errors import BudgetError
 from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
 from divgraph.invariants import _arc_counts_from, level_node_counts, order
@@ -47,23 +47,24 @@ from divgraph.signatures import as_signature
 
 
 class DisjointMode(Enum):
+    """The two readings of conjecture 1; one certificate settles both."""
     NODE = "node"
     ARC = "arc"
 
 
-def max_disjoint_paths(g: DivisorGraph, mode: DisjointMode) -> int:
+def max_disjoint_paths(g: DivisorGraph) -> int:
     """Maximum number of pairwise disjoint source-to-sink paths: omega.
 
     Checks the certificate of conjecture 1 on ``g`` and returns
-    ``len(g.signature)``; both readings share it, because internally
-    node-disjoint paths are arc-disjoint and ``mode`` changes neither bound.
-    Upper bound: exactly omega arcs of ``g.arcs`` leave node 0.  Lower bound:
-    for each coordinate i, the chain that raises coordinate i to its bound,
-    then i+1, and so on cyclically, runs from node 0 to the last node over
-    arcs of ``g``, and no two chains share an internal node.  Raises
-    ``ValueError`` when either check fails, which only a hand-built graph
-    or a faulty graph builder can cause; ``scan`` reports it as a
-    counterexample.
+    ``len(g.signature)``, node- or arc-disjoint alike.  Upper bound: exactly
+    omega arcs of ``g.arcs`` leave node 0; with the nodes in lexicographic
+    order, their heads, largest first, are the index steps of coordinates
+    0, 1, ....  Lower bound: for each coordinate i, the chain that raises
+    coordinate i to its bound, then i+1, and so on cyclically, runs from
+    node 0 to the sink over arcs of ``g``, and no two chains share an
+    internal node.  Raises ``ValueError`` when either check fails, which
+    only a hand-built graph or a faulty graph builder can cause; ``scan``
+    reports it as a counterexample.
     """
     if g.kind is not GraphKind.HASSE:
         raise ValueError("max_disjoint_paths expects a Hasse diagram")
@@ -74,22 +75,24 @@ def max_disjoint_paths(g: DivisorGraph, mode: DisjointMode) -> int:
     w = len(bounds)
     if n != order(bounds):  # order also refuses bounds that are not positive integers
         raise ValueError(f"{n} nodes do not match the bounds {bounds!r}")
-    if sum(1 for a, _ in g.arcs if a == 0) != w:
+    steps = sorted((b for a, b in g.arcs if a == 0), reverse=True)
+    if len(steps) != w:
         raise ValueError(f"the source does not have exactly {w} out-arcs")
     arcs = set(g.arcs)
-    strides = _strides(bounds)
     seen: set[int] = set()
     for i in range(w):
         v = 0
         for k in (*range(i, w), *range(i)):
             for _ in range(bounds[k]):
-                if (v, v + strides[k]) not in arcs:
-                    raise ValueError(f"chain {i} misses the arc ({v}, {v + strides[k]})")
-                v += strides[k]
+                if (v, v + steps[k]) not in arcs:
+                    raise ValueError(f"chain {i} misses the arc ({v}, {v + steps[k]})")
+                v += steps[k]
                 if v in seen:
                     raise ValueError(f"two chains share node {v}")
                 if v != n - 1:
                     seen.add(v)
+        if v != n - 1:
+            raise ValueError(f"chain {i} ends at node {v}, not at the sink {n - 1}")
     return w
 
 
@@ -108,15 +111,13 @@ def check_argmax_coincidence(parts: Iterable[int]) -> bool:
 
 
 def _disjoint_paths_failure(
-    sig: tuple[int, ...], modes: tuple[DisjointMode, ...], node_budget: int
+    sig: tuple[int, ...], node_budget: int
 ) -> Optional[tuple[object, object]]:
     g = build_graph(sig, GraphKind.HASSE, node_budget=node_budget)
     try:
-        paths = max_disjoint_paths(g, DisjointMode.NODE)  # one certificate serves every mode
+        max_disjoint_paths(g)  # returns len(sig) or raises
     except ValueError as exc:  # the built graph fails the certificate
         return str(exc), len(sig)
-    if paths != len(sig):
-        return dict.fromkeys((m.value for m in modes), paths), len(sig)
     return None
 
 
@@ -189,9 +190,10 @@ def scan(
     node_budget: int = DEFAULT_NODE_BUDGET,
     scope: str = "",
 ) -> ConjectureReport:
-    """Run one conjecture's check over a list of signatures and report."""
+    """Run one conjecture's check over a list of signatures and report.
+    ``modes`` does not change it: one certificate settles both readings."""
     checks = {
-        1: lambda sig: _disjoint_paths_failure(sig, modes, node_budget),
+        1: lambda sig: _disjoint_paths_failure(sig, node_budget),
         2: _middle_width_failure,
         3: _argmax_failure,
     }

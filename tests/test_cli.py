@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divgraph import cli, kernels, sequences, signatures
+from divgraph import cli, conjectures, graphs, kernels, sequences, signatures
 from divgraph.cli import main
 from divgraph.signatures import SIZE_BUDGET
 
@@ -432,6 +433,51 @@ class TestConjectures:
         payload = json.loads(out)
         assert payload["counterexamples"] == []
         assert payload["checked"] > 0
+
+    def test_conjecture_1_mode_does_not_change_the_report(self, capsys):
+        outs = set()
+        for mode in ("node", "arc", "both"):
+            code, out, err = run(
+                capsys, "conjectures", "--id", "1", "--max-omega", "5", "--mode", mode,
+            )
+            assert (code, err) == (0, "")
+            outs.add(re.sub(r'"elapsed_seconds": [^}]*', "", out))
+        assert len(outs) == 1
+
+    def test_conjecture_1_scan_past_the_node_budget_builds_nothing(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(graphs, "build_graph", forbidden)
+        monkeypatch.setattr(conjectures, "build_graph", forbidden)
+        monkeypatch.delenv("DIVGRAPH_NODE_BUDGET", raising=False)
+        code, out, err = run(capsys, "conjectures", "--id", "1", "--max-omega", "16")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --max-omega 16 builds 1532084 nodes in all,"
+            " more than the node budget 1000000\n"
+        )
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    @pytest.mark.parametrize("budget", [495, 496])
+    def test_node_budget_bounds_the_summed_order(self, capsys, monkeypatch, via_env, budget):
+        # the Hasse diagrams of the 29 signatures with Omega <= 6 have 496 nodes in all
+        argv = ["conjectures", "--id", "1", "--max-omega", "6"]
+        if via_env:
+            monkeypatch.setenv("DIVGRAPH_NODE_BUDGET", str(budget))
+        else:
+            monkeypatch.delenv("DIVGRAPH_NODE_BUDGET", raising=False)
+            argv += ["--node-budget", str(budget)]
+        code, out, err = run(capsys, *argv)
+        if budget < 496:
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: --max-omega 6 builds 496 nodes in all, more than the node budget 495\n"
+            )
+        else:
+            payload = json.loads(out)
+            assert (code, err) == (0, "")
+            assert (payload["checked"], payload["skipped"], payload["counterexamples"]) == (29, [], [])
 
     @pytest.mark.parametrize("max_omega", ["0", "-3"])
     def test_vacuous_conjecture_1_scan_rejected(self, capsys, max_omega):

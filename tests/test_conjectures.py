@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import pytest
 
@@ -72,7 +73,7 @@ class TestMaxDisjointPaths:
     )
     def test_frozen_examples(self, sig, mode, expected):
         g = build_graph(sig, GraphKind.HASSE)
-        assert max_disjoint_paths(g, mode) == expected
+        assert max_disjoint_paths(g) == expected == max_disjoint_paths_by_flow(g, mode)
 
     @pytest.mark.parametrize(
         "sig",
@@ -81,20 +82,12 @@ class TestMaxDisjointPaths:
     def test_flow_equals_brute_force(self, sig):
         g = build_graph(sig, GraphKind.HASSE)
         for mode in DisjointMode:
-            assert max_disjoint_paths(g, mode) == _brute_force_disjoint(sig, mode)
-
-    def test_node_bounded_by_arc(self):
-        for k in range(1, 8):
-            for sig in partitions_of(k):
-                g = build_graph(sig, GraphKind.HASSE)
-                node_flow = max_disjoint_paths(g, DisjointMode.NODE)
-                arc_flow = max_disjoint_paths(g, DisjointMode.ARC)
-                assert node_flow <= arc_flow <= len(sig)
+            assert max_disjoint_paths(g) == _brute_force_disjoint(sig, mode)
 
     def test_invariant_under_permutation(self):
         for bounds in [(2, 3, 1), (1, 2, 3), (3, 2, 1)]:
             g = build_graph(bounds, GraphKind.HASSE)
-            assert max_disjoint_paths(g, DisjointMode.NODE) == 3
+            assert max_disjoint_paths(g) == 3
 
     @pytest.mark.parametrize("omega", range(1, 9))
     def test_equals_reference_flow(self, omega):
@@ -103,48 +96,79 @@ class TestMaxDisjointPaths:
                 g = build_graph(bounds, GraphKind.HASSE)
                 for mode in DisjointMode:
                     expected = max_disjoint_paths_by_flow(g, mode)
-                    assert max_disjoint_paths(g, mode) == expected, (bounds, mode)
+                    assert max_disjoint_paths(g) == expected, (bounds, mode)
 
     @pytest.mark.parametrize(
-        "bounds,tamper",
+        "bounds,tamper,message",
         [
             # (2, 1, 1) has strides (4, 2, 1); chain 0 runs 0, 4, 8, 10, 11
             pytest.param(
                 (2, 1, 1),
                 lambda g: {"arcs": [a for a in g.arcs if a != (4, 8)]},
+                "chain 0 misses the arc (4, 8)",
                 id="chain-arc-dropped",
             ),
             pytest.param(
-                (2, 1, 1), lambda g: {"arcs": sorted(g.arcs + [(0, 3)])}, id="extra-source-arc"
+                (2, 1, 1),
+                lambda g: {"arcs": sorted(g.arcs + [(0, 3)])},
+                "the source does not have exactly 3 out-arcs",
+                id="extra-source-arc",
             ),
-            pytest.param((2, 1, 1), lambda g: {"nodes": g.nodes[:-1]}, id="node-count-mismatch"),
+            pytest.param(
+                (2, 1, 1),
+                lambda g: {"nodes": g.nodes[:-1]},
+                "11 nodes do not match the bounds (2, 1, 1)",
+                id="node-count-mismatch",
+            ),
             # a lone chain meets no other, so only the node-count check catches this
-            pytest.param((3,), lambda g: {"nodes": g.nodes[:-1]}, id="node-count-mismatch-chain"),
-            pytest.param((2, 1), lambda g: {"signature": ()}, id="empty-bounds"),
+            pytest.param(
+                (3,),
+                lambda g: {"nodes": g.nodes[:-1]},
+                "3 nodes do not match the bounds (3,)",
+                id="node-count-mismatch-chain",
+            ),
+            pytest.param(
+                (2, 1),
+                lambda g: {"signature": ()},
+                "6 nodes do not match the bounds ()",
+                id="empty-bounds",
+            ),
+            # (1, 1, 1) has strides (4, 2, 1); with source heads 1, 2, 3 the steps
+            # read off them take chain 0 over 0, 3, 5, 6, all arcs of the graph,
+            # so only the sink check catches it
+            pytest.param(
+                (1, 1, 1),
+                lambda g: {
+                    "arcs": sorted(
+                        [a for a in g.arcs if a[0] != 0] + [(0, 1), (0, 2), (0, 3), (3, 5), (5, 6)]
+                    )
+                },
+                "chain 0 ends at node 6, not at the sink 7",
+                id="chain-ends-off-sink",
+            ),
         ],
     )
-    def test_tampered_graph_raises(self, bounds, tamper):
+    def test_tampered_graph_raises(self, bounds, tamper, message):
         g = build_graph(bounds, GraphKind.HASSE)
         bad = dataclasses.replace(g, **tamper(g))
-        for mode in DisjointMode:
-            with pytest.raises(ValueError):
-                max_disjoint_paths(bad, mode)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            max_disjoint_paths(bad)
 
     @pytest.mark.parametrize("bounds", [(2, 0), (True,), (1.5,), (0, 1)])
     def test_tampered_bounds_refused(self, bounds):
         bad = dataclasses.replace(build_graph((1,), GraphKind.HASSE), signature=bounds)
         with pytest.raises(ValueError, match="positive integers"):
-            max_disjoint_paths(bad, DisjointMode.NODE)
+            max_disjoint_paths(bad)
 
     def test_empty_signature_rejected(self):
         g = build_graph((), GraphKind.HASSE)
         with pytest.raises(ValueError):
-            max_disjoint_paths(g, DisjointMode.NODE)
+            max_disjoint_paths(g)
 
     def test_requires_hasse(self):
         g = build_graph((1, 1), GraphKind.CLOSURE)
         with pytest.raises(ValueError):
-            max_disjoint_paths(g, DisjointMode.NODE)
+            max_disjoint_paths(g)
 
 
 class TestWidthChecks:
@@ -176,8 +200,7 @@ class TestWidthChecks:
     def test_chains_pass_all_three_checks(self, k):
         sig = (k,)
         g = build_graph(sig, GraphKind.HASSE)
-        assert max_disjoint_paths(g, DisjointMode.NODE) == 1 == len(sig)
-        assert max_disjoint_paths(g, DisjointMode.ARC) == 1
+        assert max_disjoint_paths(g) == 1 == len(sig)
         assert check_middle_width(sig)
         assert check_argmax_coincidence(sig)
 
@@ -194,9 +217,9 @@ class TestScan:
         # the certificate does not depend on the mode, so "both" checks it once
         checked = []
 
-        def counted(g, mode):
+        def counted(g):
             checked.append(g.signature)
-            return max_disjoint_paths(g, mode)
+            return max_disjoint_paths(g)
 
         monkeypatch.setattr(conjectures, "max_disjoint_paths", counted)
         sigs = [(1,), (2, 1), (1, 1, 1)]
@@ -205,6 +228,23 @@ class TestScan:
             report = scan(1, sigs, modes=modes)
             assert report.ok and report.checked == 3
             assert checked == sigs
+
+    def test_conjecture_1_report_does_not_depend_on_modes(self, monkeypatch):
+        # one report for every modes tuple: checked, skipped, and, from a
+        # kernel that drops the last arc, counterexamples
+        sigs = [(), (1,), (2, 1), (1, 1, 1), (9, 9, 9)]
+        node, arc = DisjointMode.NODE, DisjointMode.ARC
+        mode_sets = [(node,), (arc,), (node, arc)]
+        for faulty in (False, True):
+            if faulty:
+                hasse_arcs = kernels.hasse_arcs
+                monkeypatch.setattr(kernels, "hasse_arcs", lambda bounds: hasse_arcs(bounds)[:-1])
+            reports = [scan(1, sigs, modes=modes, node_budget=100).to_dict() for modes in mode_sets]
+            for report in reports:
+                report.pop("elapsed_seconds")
+                assert (report["checked"], len(report["skipped"])) == (3, 2)
+                assert len(report["counterexamples"]) == (3 if faulty else 0)
+            assert reports[0] == reports[1] == reports[2]
 
     def test_conjecture_2_range(self):
         sigs = [s for k in range(9) for s in partitions_of(k)]
@@ -264,14 +304,6 @@ class TestScan:
             assert cli.main(["conjectures", *argv]) == 3
             assert json.loads(capsys.readouterr().out)["counterexamples"]
 
-        monkeypatch.setattr(conjectures, "max_disjoint_paths", lambda g, mode: len(g.signature) + 1)
-        report = scan(1, [(2, 1)])
-        assert report.checked == 1
-        assert report.to_dict()["counterexamples"] == [
-            {"signature": [2, 1], "observed": {"node": 3, "arc": 3}, "expected": 2}
-        ]
-        assert cli.main(["conjectures", "--id", "1", "--max-omega", "3"]) == 3
-        assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == 6  # partitions of 1, 2, 3
 
     def test_middle_width_reads_the_shared_reader(self, monkeypatch):
         # W_v and the conjecture 2 scan read the middle level with one function;

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divgraph import kernels
 from divgraph.errors import BudgetError
 from divgraph.graphs import (
     DivisorGraph,
@@ -35,9 +36,13 @@ class TestBuildGraph:
         assert len(g.arcs) == 12
 
     def test_empty_signature(self):
-        g = build_graph((), GraphKind.HASSE)
-        assert g.nodes == [()]
-        assert g.arcs == []
+        # the kernels need no special case: product() over no ranges yields ()
+        assert kernels.enumerate_nodes(()) == [()]
+        assert kernels.hasse_arcs(()) == kernels.closure_arcs(()) == []
+        for kind in GraphKind:
+            g = build_graph((), kind)
+            assert g.nodes == [()]
+            assert g.arcs == []
 
     def test_node_budget(self):
         with pytest.raises(BudgetError):

@@ -1,6 +1,8 @@
 """The graph-construction kernels against their definitions."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from _reference import closure_arcs_by_strides
@@ -87,3 +89,27 @@ def test_pure_enumeration_is_lexicographic():
     nodes = _kernels_py.enumerate_nodes((1, 2))
     assert nodes == sorted(nodes)
     assert len(nodes) == 6
+
+
+def _imported_names(tree):
+    """Every dotted name an import statement of the module mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_kernels_imports_the_implementation():
+    # the node index layout is known to the kernels alone; every other
+    # module of the package goes through divgraph.kernels
+    importers = {
+        path.name
+        for path in Path(kernels.__file__).parent.glob("*.py")
+        if any(
+            "_kernels_py" in name.split(".")
+            for name in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    }
+    assert importers == {"kernels.py"}
