@@ -6,13 +6,39 @@ the index order is already topological.  Neither arc kernel scans node
 pairs: a Hasse head is the tail's index plus one coordinate's stride, and
 a closure tail's heads are its up-set, built by shifting the up-sets of
 the later coordinates.
+
+Each kernel runs with the cyclic garbage collector paused: the lists and
+tuples it builds hold only ints and can form no cycle, yet the
+collections that their allocations trigger would traverse them again and
+again.  The collector is process-wide, so a concurrent caller may run
+paused too; no value depends on it.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 
 
+def _collector_paused(kernel):
+    """``kernel`` with the collector off while it runs; on return or raise
+    the collector is turned back on only if it was on at entry."""
+
+    @functools.wraps(kernel)
+    def paused(bounds):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return kernel(bounds)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def enumerate_nodes(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic."""
     return list(itertools.product(*(range(m + 1) for m in bounds)))
@@ -26,6 +52,7 @@ def _strides(bounds: tuple[int, ...]) -> list[int]:
     return strides
 
 
+@_collector_paused
 def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     """Arcs of the transitive closure: every ordered pair a < b with a
     componentwise below b, sorted by tail, heads ascending.
@@ -56,6 +83,7 @@ def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     return arcs
 
 
+@_collector_paused
 def hasse_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     """Arcs of the Hasse diagram: bump one coordinate by one, which moves
     the index by that coordinate's stride."""

@@ -33,8 +33,11 @@ list is evidence on the scanned range only.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -62,9 +65,12 @@ def max_disjoint_paths(g: DivisorGraph) -> int:
     0, 1, ....  Lower bound: for each coordinate i, the chain that raises
     coordinate i to its bound, then i+1, and so on cyclically, runs from
     node 0 to the sink over arcs of ``g``, and no two chains share an
-    internal node.  Raises ``ValueError`` when either check fails, which
-    only a hand-built graph or a faulty graph builder can cause; ``scan``
-    reports it as a counterexample.
+    internal node.  Both read ``g.arcs`` as strictly increasing, which
+    ``DivisorGraph`` documents and one pass checks first, so the source's
+    arcs are one slice and each chain arc is found by bisection.  Raises
+    ``ValueError`` when a check fails, which only a hand-built graph or a
+    faulty graph builder can cause; ``scan`` reports it as a
+    counterexample.
     """
     if g.kind is not GraphKind.HASSE:
         raise ValueError("max_disjoint_paths expects a Hasse diagram")
@@ -75,17 +81,22 @@ def max_disjoint_paths(g: DivisorGraph) -> int:
     w = len(bounds)
     if n != order(bounds):  # order also refuses bounds that are not positive integers
         raise ValueError(f"{n} nodes do not match the bounds {bounds!r}")
-    steps = sorted((b for a, b in g.arcs if a == 0), reverse=True)
+    arcs = g.arcs
+    if not all(map(operator.lt, arcs, itertools.islice(arcs, 1, None))):
+        raise ValueError("the arcs are not strictly increasing")
+    source_arcs = arcs[bisect_left(arcs, (0,)) : bisect_left(arcs, (1,))]  # heads ascending
+    steps = [b for a, b in reversed(source_arcs)]
     if len(steps) != w:
         raise ValueError(f"the source does not have exactly {w} out-arcs")
-    arcs = set(g.arcs)
     seen: set[int] = set()
     for i in range(w):
         v = 0
         for k in (*range(i, w), *range(i)):
             for _ in range(bounds[k]):
-                if (v, v + steps[k]) not in arcs:
-                    raise ValueError(f"chain {i} misses the arc ({v}, {v + steps[k]})")
+                arc = (v, v + steps[k])
+                j = bisect_left(arcs, arc)
+                if j == len(arcs) or arcs[j] != arc:
+                    raise ValueError(f"chain {i} misses the arc {arc}")
                 v += steps[k]
                 if v in seen:
                     raise ValueError(f"two chains share node {v}")

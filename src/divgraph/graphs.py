@@ -7,7 +7,7 @@ sink.  Two kinds are supported: the Hasse diagram (covering relation, arcs
 raise one coordinate by one) and the transitive closure (every dominated
 pair).  Graphs are immutable once built.  ``level_profile`` reads everything
 the oracle needs from a Hasse diagram (levels, per-level counts, degrees and
-distances from the source) in one pass over its arcs.
+distances from the source) in one pass over its arcs, once per graph.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from divgraph import invariants, kernels
 from divgraph.errors import BudgetError
@@ -50,6 +51,34 @@ class DivisorGraph:
     @property
     def sink(self) -> int:
         return len(self.nodes) - 1
+
+    @cached_property
+    def _profile(self) -> LevelProfile:
+        """``level_profile``'s one pass; cached in the instance ``__dict__``,
+        which the frozen dataclass's fields, ``==`` and ``repr`` never read."""
+        if self.kind is not GraphKind.HASSE:
+            raise ValueError("level_profile requires a Hasse diagram")
+        n = len(self.nodes)
+        levels = [sum(v) for v in self.nodes]
+        top = max(levels)
+        node_counts = [0] * (top + 1)
+        for lv in levels:
+            node_counts[lv] += 1
+        arc_counts = [0] * top
+        indeg = [0] * n
+        outdeg = [0] * n
+        shortest = [n + 1] * n
+        longest = [-1] * n
+        shortest[0] = longest[0] = 0
+        for a, b in self.arcs:
+            arc_counts[levels[a]] += 1
+            outdeg[a] += 1
+            indeg[b] += 1
+            if shortest[a] + 1 < shortest[b]:
+                shortest[b] = shortest[a] + 1
+            if longest[a] + 1 > longest[b]:
+                longest[b] = longest[a] + 1
+        return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, shortest, longest)
 
 
 @dataclass(frozen=True)
@@ -103,31 +132,11 @@ def level_profile(g: DivisorGraph) -> LevelProfile:
     degrees, and pushes the shortest and longest arc distances from node 0
     forward, which needs the tail order that ``DivisorGraph`` documents.
     Levels are exponent sums read off ``g.nodes`` and the top level is the
-    highest of them, never a formula of the signature.
+    highest of them, never a formula of the signature.  The pass runs once
+    per graph: later calls return the same profile, whose lists the caller
+    must not change.
     """
-    if g.kind is not GraphKind.HASSE:
-        raise ValueError("level_profile requires a Hasse diagram")
-    n = len(g.nodes)
-    levels = [sum(v) for v in g.nodes]
-    top = max(levels)
-    node_counts = [0] * (top + 1)
-    for lv in levels:
-        node_counts[lv] += 1
-    arc_counts = [0] * top
-    indeg = [0] * n
-    outdeg = [0] * n
-    shortest = [n + 1] * n
-    longest = [-1] * n
-    shortest[0] = longest[0] = 0
-    for a, b in g.arcs:
-        arc_counts[levels[a]] += 1
-        outdeg[a] += 1
-        indeg[b] += 1
-        if shortest[a] + 1 < shortest[b]:
-            shortest[b] = shortest[a] + 1
-        if longest[a] + 1 > longest[b]:
-            longest[b] = longest[a] + 1
-    return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, shortest, longest)
+    return g._profile
 
 
 def divisor_value(v: ExponentVector, f: Factorization) -> int:

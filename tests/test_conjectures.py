@@ -146,6 +146,15 @@ class TestMaxDisjointPaths:
                 "chain 0 ends at node 6, not at the sink 7",
                 id="chain-ends-off-sink",
             ),
+            # (2, 1, 1) opens with (0, 1), (0, 2), (0, 4); swapped, the steps read
+            # off the source would take chain 0 over (2, 4), which is no arc, so
+            # this message shows the order check runs before any chain is walked
+            pytest.param(
+                (2, 1, 1),
+                lambda g: {"arcs": [g.arcs[0], g.arcs[2], g.arcs[1], *g.arcs[3:]]},
+                "the arcs are not strictly increasing",
+                id="arcs-out-of-order",
+            ),
         ],
     )
     def test_tampered_graph_raises(self, bounds, tamper, message):

@@ -1,6 +1,7 @@
 """The graph-construction kernels against their definitions."""
 
 import ast
+import gc
 import itertools
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 from _reference import closure_arcs_by_strides
 
 from divgraph import _kernels_py, kernels
+from divgraph.errors import BudgetError
+from divgraph.graphs import GraphKind, build_graph
 from divgraph.signatures import partitions_of
 
 CASES = [
@@ -113,3 +116,48 @@ def test_only_kernels_imports_the_implementation():
         )
     }
     assert importers == {"kernels.py"}
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Set the collector's state on entry to a test, and restore it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("name", ["enumerate_nodes", "hasse_arcs", "closure_arcs"])
+@pytest.mark.parametrize("bounds", [(), (2, 1, 1)])
+def test_kernels_leave_the_collector_as_found(collector, name, bounds):
+    getattr(kernels, name)(bounds)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("name", ["enumerate_nodes", "hasse_arcs", "closure_arcs"])
+def test_a_raising_kernel_leaves_the_collector_as_found(collector, name):
+    with pytest.raises(TypeError):
+        getattr(kernels, name)(("a",))
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("kind", list(GraphKind))
+def test_build_graph_leaves_the_collector_as_found(collector, kind):
+    build_graph((2, 2, 1), kind)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize(
+    "kind,budgets",
+    [
+        (GraphKind.HASSE, {"node_budget": 17}),
+        (GraphKind.CLOSURE, {"node_budget": 17}),
+        (GraphKind.CLOSURE, {"arc_budget": 89}),
+    ],
+    ids=["hasse-nodes", "closure-nodes", "closure-arcs"],
+)
+def test_a_refused_build_leaves_the_collector_as_found(collector, kind, budgets):
+    # (2, 2, 1) has 18 nodes and 90 closure arcs
+    with pytest.raises(BudgetError):
+        build_graph((2, 2, 1), kind, **budgets)
+    assert gc.isenabled() is collector

@@ -1,9 +1,11 @@
 """Brute-force measurement against the closed formulas."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divgraph.graphs import GraphKind, build_graph
+from divgraph.graphs import GraphKind, build_graph, level_profile
 from divgraph.invariants import all_invariants
 from divgraph.oracle import count_paths, measure, verify_structure
 
@@ -17,6 +19,37 @@ signatures = st.lists(st.integers(min_value=1, max_value=4), max_size=4).map(
 
 def _pair(sig):
     return build_graph(sig, GraphKind.HASSE), build_graph(sig, GraphKind.CLOSURE)
+
+
+class _CountedArcs(list):
+    """An arc list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestOneProfilePass:
+    def test_measure_and_verify_structure_share_one_profile(self):
+        g, gT = _pair((2, 3, 1))
+        expected = measure(g, gT), verify_structure(g)
+        arcs = _CountedArcs(g.arcs)
+        counted = dataclasses.replace(g, arcs=arcs)
+        assert (measure(counted, gT), verify_structure(counted)) == expected
+        # the profile pass, count_paths' push, and verify_structure's level steps
+        assert arcs.passes == 3
+        assert level_profile(counted) is level_profile(counted)
+        assert arcs.passes == 3
+
+    def test_a_copy_gets_its_own_profile(self):
+        g = build_graph((2, 1), GraphKind.HASSE)
+        assert level_profile(g).arc_counts == [2, 3, 2]
+        copy = dataclasses.replace(g, arcs=g.arcs[:-1])  # the last arc leaves level 2
+        assert copy != g and repr(copy) == repr(g)
+        assert level_profile(copy).arc_counts == [2, 3, 1]
+        assert level_profile(g).arc_counts == [2, 3, 2]
 
 
 class TestCountPaths:
