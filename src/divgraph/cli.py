@@ -39,7 +39,7 @@ from divgraph.signatures import (
     enumerate_signatures,
     factorize,
     least_integer,
-    natural_signatures,
+    natural_classes,
     parse_signature_key,
     partition_count,
     signature_key,
@@ -175,7 +175,7 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
     elif args.id == 2:
         _check_positive("--max-n", args.max_n)
         check_size("--max-n", args.max_n)
-        sigs = sorted(set(natural_signatures(args.max_n)))
+        sigs = sorted(natural_classes(args.max_n)[1])
         scope = f"signatures of n <= {args.max_n}"
     elif args.id == 3:
         _check_positive("--colex-count", args.colex_count)

@@ -8,7 +8,6 @@ b-file text, and can be compared against a local b-file reference.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +23,7 @@ from divgraph.signatures import (
     check_size,
     enumerate_signatures,
     least_integer,
-    natural_signatures,
+    natural_classes,
     signature_key,
 )
 
@@ -105,9 +104,10 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     Natural order keys by n starting at 1; signature orders key by index
     starting at 0 (the empty signature) and keep the signatures as a second
     column.  The least-integer row only exists under the signature orders.
-    Natural order reads each signature off one smallest-prime-factor sieve
-    and computes each distinct signature's value once; under the signature
-    orders a row in ``invariants.COLUMNS`` is built in one pass over the table.
+    Natural order reads each n's signature class off one smallest-prime-factor
+    sieve and computes each distinct signature's value once per call; under
+    the signature orders a row in ``invariants.COLUMNS`` is built in one pass
+    over the table.
     ``count`` is checked against the size budget before anything is
     allocated.
     """
@@ -120,7 +120,9 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
         raise ValueError("LI is only defined under the signature orders")
     check_size("count", count)
     if natural:
-        values = list(map(functools.cache(func), natural_signatures(count)))
+        classes, sigs = natural_classes(count)
+        class_values = list(map(func, sigs))
+        values = list(map(class_values.__getitem__, classes))
         return SequenceTable(invariant=key, ordering=ordering, value_column=values)
     sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
     column = invariants.COLUMNS.get(key)

@@ -25,8 +25,9 @@ INT_BOUND = 2**63 - 1
 #: and number of signatures with 1 <= Omega <= --max-omega (so --max-omega
 #: is at most 36).  Signature-order work grows with Omega as well as with
 #: the count: at 10^5 a colex W_e table took about 1.5 s at a 24 MB
-#: tracemalloc peak and a natural-order table 0.15 s, while at 10^6 a colex
-#: V table alone took 5 s at a 202 MB peak RSS (2-CPU x86-64, Python 3.11).
+#: tracemalloc peak and a natural-order table 0.03-0.04 s at a 2 MB peak,
+#: while at 10^6 a colex V table alone took 5 s at a 202 MB peak RSS
+#: (2-CPU x86-64, Python 3.11).
 SIZE_BUDGET = 10**5
 
 Factorization = tuple[tuple[int, int], ...]  # ((prime, exponent), ...), primes ascending
@@ -303,15 +304,40 @@ def signature_from_sieve(n: int, spf: list[int]) -> PrimeSignature:
     return tuple(exps)
 
 
-def natural_signatures(limit: int) -> Iterator[PrimeSignature]:
-    """Prime signatures of 1, 2, ..., ``limit`` in order, read off one sieve.
+def natural_classes(limit: int) -> tuple[list[int], list[PrimeSignature]]:
+    """Signature classes of 1, 2, ..., ``limit``, read off one sieve.
 
-    The sieve is built by the call; each signature is read as the iterator
-    reaches it, so a caller that keeps only distinct signatures never holds
-    ``limit`` of them.
+    Returns ``(classes, sigs)``: ``classes[n - 1]`` is the class number of
+    n and ``sigs[c]`` the signature of class c.  Classes are numbered in
+    order of first appearance, so ``sigs[0]`` is ().  With p the least
+    prime of n and p^e exactly dividing n, the class of n is the class of
+    n/p^e extended by e.  That step is worked out once per (class, e);
+    different pairs can reach one signature, so a map from signatures to
+    class numbers keeps each signature in one class.
     """
     spf = spf_sieve(limit)
-    return map(signature_from_sieve, range(1, limit + 1), itertools.repeat(spf, limit))
+    classes = [0] * (limit + 1)  # classes[n]; entry 0 is dropped on return
+    sigs: list[PrimeSignature] = [()]
+    numbers = {(): 0}
+    steps: list[dict[int, int]] = [{}]  # steps[c][e]: class of sigs[c] extended by e
+    for n in range(2, limit + 1):
+        p = spf[n]
+        m = n // p
+        e = 1
+        while spf[m] == p:  # spf[1] = 1 ends the run
+            m //= p
+            e += 1
+        step = steps[classes[m]]
+        c = step.get(e)
+        if c is None:
+            sig = tuple(sorted(sigs[classes[m]] + (e,), reverse=True))
+            c = step[e] = numbers.setdefault(sig, len(sigs))
+            if c == len(sigs):
+                sigs.append(sig)
+                steps.append({})
+        classes[n] = c
+    del classes[0]
+    return classes, sigs
 
 
 def signature_display(sig: PrimeSignature) -> str:

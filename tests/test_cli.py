@@ -499,6 +499,15 @@ class TestConjectures:
         assert code == 0
         assert json.loads(out)["counterexamples"] == []
 
+    @pytest.mark.parametrize("max_n", [1, 2, 1000, 100_000])
+    def test_conjecture_2_checks_each_distinct_signature(self, capsys, max_n):
+        spf = signatures.spf_sieve(max_n)
+        distinct = {signatures.signature_from_sieve(n, spf) for n in range(1, max_n + 1)}
+        code, out, _ = run(capsys, "conjectures", "--id", "2", "--max-n", str(max_n))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["checked"], payload["counterexamples"]) == (len(distinct), [])
+
     def test_conjecture_3_scan(self, capsys):
         code, out, _ = run(capsys, "conjectures", "--id", "3", "--colex-count", "60")
         assert code == 0

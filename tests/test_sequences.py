@@ -1,6 +1,8 @@
 """Sequence tables, the three serialization formats, and b-file comparison."""
 
+import functools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -454,3 +456,33 @@ class TestSignatureOrderColumns:
         else:
             assert count <= 30
             assert column(sigs, omega_budget=6) == expected
+
+
+NATURAL_KEYS = [name for name in INVARIANT_FUNCS if name != "LI"]
+
+
+class TestNaturalColumns:
+    """Every natural-order column against its row function read at each n."""
+
+    @pytest.mark.parametrize("name", NATURAL_KEYS)
+    def test_column_equals_per_n_route(self, name):
+        func = functools.cache(INVARIANT_FUNCS[name])  # keeps the 10^4 reads fast
+        spf = spf_sieve(10_000)
+        expected = [func(signature_from_sieve(n, spf)) for n in range(1, 10_001)]
+        assert generate(name, Ordering.NATURAL, 10_000).value_column == expected
+
+    @pytest.mark.parametrize("name", NATURAL_KEYS)
+    def test_row_function_called_once_per_signature(self, monkeypatch, name):
+        calls = Counter()
+        func = INVARIANT_FUNCS[name]
+
+        def counted(sig):
+            calls[sig] += 1
+            return func(sig)
+
+        monkeypatch.setitem(INVARIANT_FUNCS, name, counted)
+        generate(name, Ordering.NATURAL, 1500)
+        spf = spf_sieve(1500)
+        distinct = {signature_from_sieve(n, spf) for n in range(1, 1501)}
+        assert len(distinct) == 45
+        assert calls == Counter(distinct)

@@ -16,7 +16,7 @@ from divgraph.signatures import (
     enumerate_signatures,
     factorize,
     least_integer,
-    natural_signatures,
+    natural_classes,
     parse_signature_key,
     partition_count,
     partitions_of,
@@ -123,21 +123,34 @@ class TestSignatureOf:
 
 
 class TestNaturalSignatures:
+    """``natural_classes`` against the per-n readers."""
+
     def test_equals_factorization_up_to_1e4(self):
-        assert list(natural_signatures(10_000)) == [signature_of(n) for n in range(1, 10_001)]
+        classes, sigs = natural_classes(10_000)
+        assert [sigs[c] for c in classes] == [signature_of(n) for n in range(1, 10_001)]
 
     def test_equals_per_n_sieve_reads_at_1e5(self):
         spf = spf_sieve(100_000)
         expected = [signature_from_sieve(n, spf) for n in range(1, 100_001)]
-        assert list(natural_signatures(100_000)) == expected
+        classes, sigs = natural_classes(100_000)
+        assert [sigs[c] for c in classes] == expected
 
     def test_one(self):
-        assert list(natural_signatures(1)) == [()]
+        assert natural_classes(1) == ([0], [()])
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_validated(self, limit):
         with pytest.raises(ValueError):
-            natural_signatures(limit)
+            natural_classes(limit)
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 12, 1000, 100_000])
+    def test_classes_numbered_by_first_appearance(self, limit):
+        classes, sigs = natural_classes(limit)
+        assert len(classes) == limit
+        assert len(set(sigs)) == len(sigs)
+        assert classes[0] == 0 and sigs[0] == ()
+        assert set(classes) == set(range(len(sigs)))
+        assert list(dict.fromkeys(classes)) == list(range(len(sigs)))
 
 
 class TestSizeBudget:
