@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+from typing import Iterator
 
 
 def _collector_paused(kernel):
@@ -38,10 +39,16 @@ def _collector_paused(kernel):
     return paused
 
 
+def _nodes(bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic,
+    walked lazily; a node's index is its position in this walk."""
+    return itertools.product(*(range(m + 1) for m in bounds))
+
+
 @_collector_paused
 def enumerate_nodes(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic."""
-    return list(itertools.product(*(range(m + 1) for m in bounds)))
+    """The list of ``_nodes(bounds)``."""
+    return list(_nodes(bounds))
 
 
 def _strides(bounds: tuple[int, ...]) -> list[int]:
@@ -86,12 +93,13 @@ def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
 @_collector_paused
 def hasse_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     """Arcs of the Hasse diagram: bump one coordinate by one, which moves
-    the index by that coordinate's stride."""
+    the index by that coordinate's stride.  The nodes are walked with
+    ``_nodes`` without building their list."""
     w = len(bounds)
     strides = _strides(bounds)
     arcs: list[tuple[int, int]] = []
     append = arcs.append
-    for i, v in enumerate(enumerate_nodes(bounds)):
+    for i, v in enumerate(_nodes(bounds)):
         # ks descending gives ascending head indices per tail
         for k in range(w - 1, -1, -1):
             if v[k] < bounds[k]:

@@ -20,12 +20,13 @@ Kruyswijk, 1951), so its level sizes are symmetric and unimodal.
 Conjecture 3: the arcs leaving level l number sum_i N^(i)_l, where N^(i) is
 the rank sequence with m_i lowered by 1; each is symmetric about
 (Omega-1)/2 and unimodal, so the arc counts peak at floor((Omega-1)/2) and
-ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).
-``invariants.level_arc_counts`` computes the arc counts by that same
-identity, from the rank sequence; the tests pin them to the counts that
-``graphs.level_profile`` reads off built Hasse diagrams.  The conjecture 2
-scan reads the middle level with ``invariants._middle_nodes``, the reader
-behind W_v, so it checks that reader too.
+ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).  The
+check reads node and arc counts from ``invariants._level_chain``, which
+builds both by a recurrence over the parts rather than by that identity;
+the tests pin the arc counts to the lowered rank sequences and to the
+counts that ``graphs.level_profile`` reads off built Hasse diagrams.  The
+conjecture 2 scan reads the middle level with ``invariants._middle_nodes``,
+the reader behind W_v, so it checks that reader too.
 
 Scans never assert truth; they produce reports, and an empty counterexample
 list is evidence on the scanned range only.
@@ -45,7 +46,7 @@ from typing import Iterable, Optional, Sequence
 from divgraph import invariants
 from divgraph.errors import BudgetError
 from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
-from divgraph.invariants import _arc_counts_from, level_node_counts, order
+from divgraph.invariants import _level_chain, level_node_counts, order
 from divgraph.signatures import as_signature
 
 
@@ -141,9 +142,8 @@ def _middle_width_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object
 def _argmax_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
     if not sig:
         raise ValueError("argmax coincidence is undefined for the empty signature")
-    poly = level_node_counts(sig)
+    poly, arc_counts = _level_chain(sig)
     node_counts = poly[:-1]  # levels 0..Omega-1
-    arc_counts = _arc_counts_from(poly, sig)
     top_nodes, top_arcs = max(node_counts), max(arc_counts)
     if any(a == top_arcs for v, a in zip(node_counts, arc_counts) if v == top_nodes):
         return None

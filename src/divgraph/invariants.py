@@ -4,11 +4,13 @@ Everything here is a pure function of the exponent multiset; no graph is
 ever built.  Every count is an exact integer, however large; the one
 refusal is the omega budget of ``closure_paths``.  ``TABLE`` lists the
 invariants once; the record type, the sequence keys and spellings, and the
-CLI output all derive from it.  Each formula is written once: W_v and W_e
-read the level polynomial at the peak level that conjectures 2 and 3
-prove, with one reader each, shared by the row function and its
-signature-order column in ``COLUMNS``.  The brute-force counterpart that
-measures the same quantities on an explicit graph lives in divgraph.oracle.
+CLI output all derive from it.  Each formula is written once: the level
+polynomial P is a fold of ``_times_window`` over the parts, and P with the
+leaving-arc polynomial A a fold of ``_times_chain``.  W_v reads P and W_e
+reads A at the peak level that conjectures 2 and 3 prove, with one reader
+each, shared by the row function and its signature-order column in
+``COLUMNS``.  The brute-force counterpart that measures the same quantities
+on an explicit graph lives in divgraph.oracle.
 """
 
 from __future__ import annotations
@@ -89,50 +91,35 @@ def _prefix_column(
 
 
 def level_arc_counts(parts: Iterable[int]) -> list[int]:
-    """Arcs leaving level l for l = 0..Omega-1 (empty list for Omega = 0).
+    """Arcs leaving level l for l = 0..Omega-1 (empty list for Omega = 0);
+    see ``_times_chain``."""
+    return _level_chain(parts)[1]
 
-    An arc leaving level l bumps some coordinate i with v_i < m_i, so the
-    count is sum_i N^(i)_l, where N^(i) is the rank sequence with m_i lowered
-    by 1; see ``_arc_counts_from``.
+
+def _level_chain(parts: Iterable[int]) -> tuple[list[int], list[int]]:
+    """(node counts, leaving-arc counts) by level: ``_times_chain`` folded over the parts."""
+    state = ([1], [])
+    for m in as_signature(parts):
+        state = _times_chain(state, m)
+    return state
+
+
+def _times_chain(state: tuple[list[int], list[int]], m: int) -> tuple[list[int], list[int]]:
+    """(P h_m, A h_m + P h_(m-1)) from (P, A), where h_m = 1 + x + ... + x^m.
+
+    P is the level polynomial and A the leaving-arc polynomial of a
+    signature; appending a part m gives those of the longer one.  An arc
+    either raises an old coordinate, with the new one at any of its m+1
+    values, or raises the new one from a value below m.  P h_m is
+    P h_(m-1) + x^m P, so the window step for P h_(m-1) serves both lists;
+    for m = 1 it is P itself and no step is taken.  The input lists are not
+    changed: ``_prefix_column`` passes one parent's state to all its
+    children.
     """
-    sig = as_signature(parts)
-    return _arc_counts_from(level_node_counts(sig), sig)
-
-
-def _arc_counts_from(poly: list[int], sig: tuple[int, ...]) -> list[int]:
-    """Arc counts of ``sig`` from its rank sequence ``poly``.
-
-    N^(i) = P(x) (1 - x^m_i) / (1 - x^(m_i+1)), cut to its first Omega
-    coefficients.  Dividing by 1 - x^(m+1) is a running sum over every
-    (m+1)-th coefficient; each distinct part is done once and weighted by
-    its multiplicity.
-    """
-    total = len(poly) - 1
-    counts = [0] * total
-    for m, mult in Counter(sig).items():
-        quot = [0] * total
-        for r in range(m + 1):
-            quot[r :: m + 1] = accumulate(poly[r:total : m + 1])
-        lowered = quot[:m] + list(map(sub, quot[m:], quot))
-        counts = list(map(add, counts, map(mul, lowered, repeat(mult))))
-    return counts
-
-
-def _arc_count_at(poly: list[int], groups: Iterable[tuple[int, int]], level: int) -> int:
-    """Arcs leaving one ``level``, from the rank sequence ``poly``.
-
-    ``groups`` holds each distinct part m with its multiplicity.  The level's
-    coefficient of N^(i) = P(x) (1 - x^m) / (1 - x^(m+1)) is a sum of every
-    (m+1)-th coefficient of P from ``level`` down, minus the same sum from
-    ``level - m`` down; see ``_arc_counts_from``.
-    """
-    total = 0
-    for m, mult in groups:
-        lowered = sum(poly[level :: -(m + 1)])
-        if level >= m:
-            lowered -= sum(poly[level - m :: -(m + 1)])
-        total += mult * lowered
-    return total
+    poly, arcs = state
+    lower = poly if m == 1 else _times_window(poly, m - 1)
+    upper = list(map(add, lower + [0], [0] * m + poly))
+    return upper, list(map(add, _times_window(arcs, m), lower))
 
 
 def _middle_nodes(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
@@ -140,10 +127,10 @@ def _middle_nodes(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
     return poly[omega // 2]
 
 
-def _middle_arcs(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
+def _middle_arcs(sig: PrimeSignature, omega: int, state: tuple[list[int], list[int]]) -> int:
     """Arcs leaving level floor((Omega-1)/2), the most (conjecture 3's
     theorem); 0 for the empty signature."""
-    return _arc_count_at(poly, Counter(sig).items(), (omega - 1) // 2) if omega else 0
+    return state[1][(omega - 1) // 2] if omega else 0
 
 
 def width_nodes(parts: Iterable[int]) -> int:
@@ -156,7 +143,7 @@ def width_arcs(parts: Iterable[int]) -> int:
     """W_e: largest level by leaving-arc count, read at its proven peak
     floor((Omega-1)/2); 0 for the empty signature."""
     sig = as_signature(parts)
-    return _middle_arcs(sig, sum(sig), level_node_counts(sig))
+    return _middle_arcs(sig, sum(sig), _level_chain(sig))
 
 
 def degree(parts: Iterable[int]) -> int:
@@ -313,12 +300,14 @@ TABLE = (
 
 #: Key -> the row's whole column over a prefix of a graded signature order,
 #: built in one walk of the partition tree, for the rows that have one.
-#: Each equals the row function mapped over ``sigs``; ``Wv`` and ``We`` read
-#: each level polynomial with the same function as ``width_nodes`` and
+#: Each equals the row function mapped over ``sigs``.  ``Wv`` carries the
+#: level polynomial P down the walk and ``We`` the pair (P, A), each step
+#: the one that ``level_node_counts`` and ``level_arc_counts`` fold, and each
+#: reads its state with the same function as ``width_nodes`` and
 #: ``width_arcs``.
 COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
     "Wv": lambda sigs: _prefix_column(sigs, [1], _times_window, _middle_nodes),
-    "We": lambda sigs: _prefix_column(sigs, [1], _times_window, _middle_arcs),
+    "We": lambda sigs: _prefix_column(sigs, ([1], []), _times_chain, _middle_arcs),
     "PT": _closure_paths_column,
 }
 

@@ -5,9 +5,10 @@ recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
 certificate, by trial division instead of Miller–Rabin and Pollard's rho,
 by stride-offset sums instead of shifted up-sets, by polynomial
-convolution instead of running sums, by the largest level instead of the
-proven peak level, by a loop per multiple instead of slice assignment, by
-recursion instead of from earlier partition grades, or row by row through
+convolution instead of running sums, by lowered rank sequences instead of
+the arc-count recurrence, by the largest level instead of the proven peak
+level, by a loop per multiple instead of slice assignment, by recursion
+instead of from earlier partition grades, or row by row through
 ``SequenceEntry`` objects instead of over a table's columns.
 ``factorization_value`` multiplies a factorization back out, to check it.
 """
@@ -17,14 +18,14 @@ import io
 import itertools
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from typing import Optional
 
 from divgraph._kernels_py import _strides, enumerate_nodes
 from divgraph.conjectures import DisjointMode
 from divgraph.errors import BFileFormatError
 from divgraph.graphs import DivisorGraph, GraphKind
-from divgraph.invariants import level_arc_counts, level_node_counts
+from divgraph.invariants import level_node_counts
 from divgraph.sequences import EmitFormat, MatchReport, Ordering, SequenceTable
 from divgraph.signatures import INT_BOUND, SignatureOrder, as_signature, signature_key
 
@@ -286,6 +287,28 @@ def level_arc_counts_by_convolution(parts) -> list[int]:
     return counts
 
 
+def level_arc_counts_by_lowering(parts) -> list[int]:
+    """Arcs leaving level l for l = 0..Omega-1, as sum_i N^(i)_l from the rank sequence.
+
+    N^(i) is the rank sequence with m_i lowered by 1, that is
+    P(x) (1 - x^m_i) / (1 - x^(m_i+1)) cut to its first Omega coefficients.
+    Dividing by 1 - x^(m+1) is a running sum over every (m+1)-th
+    coefficient; each distinct part is done once and weighted by its
+    multiplicity.
+    """
+    sig = as_signature(parts)
+    poly = level_node_counts(sig)
+    total = len(poly) - 1
+    counts = [0] * total
+    for m, mult in Counter(sig).items():
+        quot = [0] * total
+        for r in range(m + 1):
+            quot[r :: m + 1] = itertools.accumulate(poly[r:total : m + 1])
+        for l in range(total):
+            counts[l] += mult * (quot[l] - quot[l - m] if l >= m else quot[l])
+    return counts
+
+
 def width_nodes_by_max(parts) -> int:
     """W_v as the largest node count over every level."""
     return max(level_node_counts(parts))
@@ -294,7 +317,7 @@ def width_nodes_by_max(parts) -> int:
 def width_arcs_by_max(parts) -> int:
     """W_e as the largest leaving-arc count over every level; 0 for the
     empty signature."""
-    return max(level_arc_counts(parts), default=0)
+    return max(level_arc_counts_by_lowering(parts), default=0)
 
 
 def spf_sieve_by_loops(limit: int) -> list[int]:

@@ -290,7 +290,7 @@ class TestScan:
         # both checks are true theorems, so feed them level lists they refute:
         # node counts that are not unimodal, and arc counts that peak elsewhere
         monkeypatch.setattr(conjectures, "level_node_counts", lambda parts: [3, 1, 2, 1])
-        monkeypatch.setattr(conjectures, "_arc_counts_from", lambda poly, sig: [1, 4, 1])
+        monkeypatch.setattr(conjectures, "_level_chain", lambda sig: ([3, 1, 2, 1], [1, 4, 1]))
 
         report = scan(2, [(), (4, 2)])
         assert not report.ok and report.checked == 2 and report.skipped == []

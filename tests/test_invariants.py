@@ -33,6 +33,7 @@ from _reference import (
     closure_size_by_divisor_sum,
     hasse_paths_recursive,
     level_arc_counts_by_convolution,
+    level_arc_counts_by_lowering,
     level_node_counts_by_convolution,
     width_arcs_by_max,
     width_nodes_by_max,
@@ -108,6 +109,11 @@ class TestLevels:
             profile = level_profile(build_graph(sig, GraphKind.HASSE))
             assert level_node_counts(sig) == profile.node_counts, sig
             assert level_arc_counts(sig) == profile.arc_counts, sig
+
+    @pytest.mark.parametrize("sig", [(1,) * 300, (2,) * 100 + (1,) * 100, (3,) * 60, (40, 1)])
+    def test_arc_counts_equal_lowered_rank_sequences_past_the_omega_budget(self, sig):
+        # long runs of 1s take the recurrence's shortcut for a part of 1
+        assert level_arc_counts(sig) == level_arc_counts_by_lowering(sig)
 
     @given(signatures)
     def test_totals_and_symmetry(self, sig):

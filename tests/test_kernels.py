@@ -3,6 +3,7 @@
 import ast
 import gc
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,24 @@ def test_pure_enumeration_is_lexicographic():
     nodes = _kernels_py.enumerate_nodes((1, 2))
     assert nodes == sorted(nodes)
     assert len(nodes) == 6
+
+
+def test_hasse_build_allocates_one_node_list():
+    # build_graph keeps one node list; the Hasse kernel walks the nodes
+    # without building a second, so what the build frees again is small
+    bounds = (19, 14, 9)
+    tracemalloc.start()
+    try:
+        nodes = _kernels_py.enumerate_nodes(bounds)
+        node_list_bytes = tracemalloc.get_traced_memory()[0]
+        del nodes
+        tracemalloc.reset_peak()
+        g = build_graph(bounds, GraphKind.HASSE)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.nodes) == 3000
+    assert peak - kept < node_list_bytes / 4
 
 
 def _imported_names(tree):
