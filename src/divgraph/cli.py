@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjectures", help="scan a conjecture for counterexamples")
     p_conj.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
-    p_conj.add_argument("--mode", choices=["node", "arc", "both"], default="both",
-                        help="id 1: node- or arc-disjoint; one certificate covers both")
     p_conj.add_argument(
         "--max-omega", type=int, default=8,
         help=f"id 1: every signature with 1 <= Omega <= MAX_OMEGA; at most {SIZE_BUDGET}"

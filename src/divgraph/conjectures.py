@@ -135,7 +135,7 @@ def _disjoint_paths_failure(
 
 def _middle_width_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
     counts = level_node_counts(sig)
-    middle, width = invariants._middle_nodes(sig, len(counts) - 1, counts), max(counts)
+    middle, width = invariants._middle_nodes(len(counts) - 1, counts), max(counts)
     return None if middle == width else (middle, width)
 
 

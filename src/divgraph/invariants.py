@@ -8,9 +8,9 @@ CLI output all derive from it.  Each formula is written once: the level
 polynomial P is a fold of ``_times_window`` over the parts, and P with the
 leaving-arc polynomial A a fold of ``_times_chain``.  W_v reads P and W_e
 reads A at the peak level that conjectures 2 and 3 prove, with one reader
-each, shared by the row function and its signature-order column in
-``COLUMNS``.  The brute-force counterpart that measures the same quantities
-on an explicit graph lives in divgraph.oracle.
+each, shared by the row function and its column in ``COLUMNS``.  The
+brute-force counterpart that measures the same quantities on an explicit
+graph lives in divgraph.oracle.
 """
 
 from __future__ import annotations
@@ -65,23 +65,24 @@ def _prefix_column(
     sigs: list[PrimeSignature],
     root: object,
     extend: Callable[[object, int], object],
-    read: Callable[[PrimeSignature, int, object], int],
+    read: Callable[[int, object], int],
 ) -> list[int]:
     """One value per signature of ``sigs``, by a depth-first walk of the partition tree.
 
-    ``sigs`` is a prefix of a graded order, so it holds every signature
-    below its last grade, and with each signature the one without its
-    smallest part.  The walk starts at () with state ``root`` and appends
-    parts that do not increase; a child's state is ``extend(state, part)``
-    of its parent's, and ``read(sig, Omega, state)`` is its value, written
-    in its row.  Only the states on the stack are kept.
+    ``sigs`` is closed under dropping the smallest part: with each
+    signature it holds the one without its smallest part.  Graded-order
+    prefixes and the class signatures of ``natural_classes`` both are.  The
+    walk starts at () with state ``root`` and appends parts that do not
+    increase, up to the largest Omega in ``sigs``; a child's state is
+    ``extend(state, part)`` of its parent's, and ``read(Omega, state)`` is
+    its value, written in its row.  Only the states on the stack are kept.
     """
     values = dict.fromkeys(sigs)  # insertion order is row order
-    top = sum(sigs[-1])
+    top = max(map(sum, sigs))
     stack = [((), 0, root)]
     while stack:
         sig, omega, state = stack.pop()
-        values[sig] = read(sig, omega, state)
+        values[sig] = read(omega, state)
         room = top - omega
         for part in range(min(sig[-1], room) if sig else room, 0, -1):
             child = sig + (part,)
@@ -122,12 +123,12 @@ def _times_chain(state: tuple[list[int], list[int]], m: int) -> tuple[list[int],
     return upper, list(map(add, _times_window(arcs, m), lower))
 
 
-def _middle_nodes(sig: PrimeSignature, omega: int, poly: list[int]) -> int:
+def _middle_nodes(omega: int, poly: list[int]) -> int:
     """Nodes on level floor(Omega/2), the widest (conjecture 2's theorem)."""
     return poly[omega // 2]
 
 
-def _middle_arcs(sig: PrimeSignature, omega: int, state: tuple[list[int], list[int]]) -> int:
+def _middle_arcs(omega: int, state: tuple[list[int], list[int]]) -> int:
     """Arcs leaving level floor((Omega-1)/2), the most (conjecture 3's
     theorem); 0 for the empty signature."""
     return state[1][(omega - 1) // 2] if omega else 0
@@ -135,15 +136,15 @@ def _middle_arcs(sig: PrimeSignature, omega: int, state: tuple[list[int], list[i
 
 def width_nodes(parts: Iterable[int]) -> int:
     """W_v: largest level by node count, read at its proven peak floor(Omega/2)."""
-    sig = as_signature(parts)
-    return _middle_nodes(sig, sum(sig), level_node_counts(sig))
+    poly = level_node_counts(parts)
+    return _middle_nodes(len(poly) - 1, poly)
 
 
 def width_arcs(parts: Iterable[int]) -> int:
     """W_e: largest level by leaving-arc count, read at its proven peak
     floor((Omega-1)/2); 0 for the empty signature."""
-    sig = as_signature(parts)
-    return _middle_arcs(sig, sum(sig), _level_chain(sig))
+    state = _level_chain(parts)
+    return _middle_arcs(len(state[0]) - 1, state)
 
 
 def degree(parts: Iterable[int]) -> int:
@@ -220,13 +221,15 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
 def _closure_paths_column(
     sigs: list[PrimeSignature], *, omega_budget: int = DEFAULT_OMEGA_BUDGET
 ) -> list[int]:
-    """|P^T| = sum_j T(Omega, j) M(j) over a graded-order prefix; see ``closure_paths``.
+    """|P^T| = sum_j T(Omega, j) M(j) over ``sigs``; see ``closure_paths``.
 
-    A node's vector M is its parent's times the appended part's binomial
-    row, and each grade's T(Omega, .) is computed once.  The omega budget is
-    checked once, for the last (largest) Omega of the table, before any work.
+    ``sigs`` is closed under dropping the smallest part, as for
+    ``_prefix_column``.  A node's vector M is its parent's times the
+    appended part's binomial row, and each grade's T(Omega, .) is computed
+    once.  The omega budget is checked once, for the largest Omega of the
+    list, before any work.
     """
-    top = sum(sigs[-1])
+    top = max(map(sum, sigs))
     _check_omega(top, omega_budget)
     rows = [None] + [_multichain_row(m, top) for m in range(1, top + 1)]
     weights = [None] + [_closure_weights(total) for total in range(1, top + 1)]
@@ -234,7 +237,7 @@ def _closure_paths_column(
     def extend(multichains: list[int], part: int) -> list[int]:
         return list(map(mul, multichains, rows[part]))
 
-    def read(sig: PrimeSignature, omega: int, multichains: list[int]) -> int:
+    def read(omega: int, multichains: list[int]) -> int:
         return sum(map(mul, weights[omega], multichains)) if omega else 1
 
     return _prefix_column(sigs, [1] * top, extend, read)
@@ -298,13 +301,14 @@ TABLE = (
     ("PT", "closure_paths", closure_paths, ("|p^t|", "p^t", "pt")),
 )
 
-#: Key -> the row's whole column over a prefix of a graded signature order,
-#: built in one walk of the partition tree, for the rows that have one.
-#: Each equals the row function mapped over ``sigs``.  ``Wv`` carries the
-#: level polynomial P down the walk and ``We`` the pair (P, A), each step
-#: the one that ``level_node_counts`` and ``level_arc_counts`` fold, and each
-#: reads its state with the same function as ``width_nodes`` and
-#: ``width_arcs``.
+#: Key -> the row's whole column over a list of signatures closed under
+#: dropping the smallest part (a graded-order prefix, or the classes of
+#: ``natural_classes``), built in one walk of the partition tree, for the
+#: rows that have one.  Each equals the row function mapped over ``sigs``.
+#: ``Wv`` carries the level polynomial P down the walk and ``We`` the pair
+#: (P, A), each step the one that ``level_node_counts`` and
+#: ``level_arc_counts`` fold, and each reads its state with the same
+#: function as ``width_nodes`` and ``width_arcs``.
 COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
     "Wv": lambda sigs: _prefix_column(sigs, [1], _times_window, _middle_nodes),
     "We": lambda sigs: _prefix_column(sigs, ([1], []), _times_chain, _middle_arcs),

@@ -105,9 +105,9 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     starting at 0 (the empty signature) and keep the signatures as a second
     column.  The least-integer row only exists under the signature orders.
     Natural order reads each n's signature class off one smallest-prime-factor
-    sieve and computes each distinct signature's value once per call; under
-    the signature orders a row in ``invariants.COLUMNS`` is built in one pass
-    over the table.
+    sieve, computes each distinct signature's value once per call and maps
+    those values over the classes.  In every order, a row in
+    ``invariants.COLUMNS`` is built in one pass over the signatures.
     ``count`` is checked against the size budget before anything is
     allocated.
     """
@@ -121,12 +121,13 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     check_size("count", count)
     if natural:
         classes, sigs = natural_classes(count)
-        class_values = list(map(func, sigs))
-        values = list(map(class_values.__getitem__, classes))
-        return SequenceTable(invariant=key, ordering=ordering, value_column=values)
-    sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
+    else:
+        sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
     column = invariants.COLUMNS.get(key)
-    values = column(sigs) if column is not None else list(map(func, sigs))
+    values = column(sigs) if column else list(map(func, sigs))
+    if natural:
+        values = list(map(values.__getitem__, classes))
+        return SequenceTable(invariant=key, ordering=ordering, value_column=values)
     return SequenceTable(invariant=key, ordering=ordering, value_column=values, signature_column=sigs)
 
 

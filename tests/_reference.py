@@ -11,6 +11,9 @@ level, by a loop per multiple instead of slice assignment, by recursion
 instead of from earlier partition grades, or row by row through
 ``SequenceEntry`` objects instead of over a table's columns.
 ``factorization_value`` multiplies a factorization back out, to check it.
+``to_dot_by_lines`` and ``to_json_by_lists`` serialize a graph with one
+string or one list per node and per arc, to check the library's output
+byte for byte.
 """
 
 import csv
@@ -182,6 +185,29 @@ def transitive_reduction_arcs(gT: DivisorGraph) -> set[tuple[int, int]]:
         if not any((a, c) in arc_set and (c, b) in arc_set for c in range(a + 1, b)):
             kept.add((a, b))
     return kept
+
+
+def to_dot_by_lines(g: DivisorGraph) -> str:
+    """DOT rendering, one line string per node and per arc, joined once."""
+    lines = [f"digraph {g.kind.value} {{"]
+    for i, v in enumerate(g.nodes):
+        label = " ".join(str(c) for c in v)
+        lines.append(f'  v{i} [label="{label}"];')
+    for a, b in g.arcs:
+        lines.append(f"  v{a} -> v{b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def to_json_by_lists(g: DivisorGraph) -> str:
+    """JSON rendering of a payload that copies every node and arc into a list."""
+    payload = {
+        "signature": list(g.signature),
+        "kind": g.kind.value,
+        "nodes": [list(v) for v in g.nodes],
+        "arcs": [list(arc) for arc in g.arcs],
+    }
+    return json.dumps(payload)
 
 
 def factorization_value(f) -> int:

@@ -4,7 +4,6 @@ import argparse
 import io
 import json
 import os
-import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -427,22 +426,19 @@ class TestCompare:
 class TestConjectures:
     def test_conjecture_1_small_scan(self, capsys):
         code, out, _ = run(
-            capsys, "conjectures", "--id", "1", "--max-omega", "5", "--mode", "node",
+            capsys, "conjectures", "--id", "1", "--max-omega", "5",
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["counterexamples"] == []
         assert payload["checked"] > 0
 
-    def test_conjecture_1_mode_does_not_change_the_report(self, capsys):
-        outs = set()
-        for mode in ("node", "arc", "both"):
-            code, out, err = run(
-                capsys, "conjectures", "--id", "1", "--max-omega", "5", "--mode", mode,
-            )
-            assert (code, err) == (0, "")
-            outs.add(re.sub(r'"elapsed_seconds": [^}]*', "", out))
-        assert len(outs) == 1
+    def test_conjecture_1_mode_is_a_usage_error(self, capsys):
+        # one certificate settles both readings of "disjoint", so there is no --mode
+        with pytest.raises(SystemExit) as excinfo:
+            main(["conjectures", "--id", "1", "--max-omega", "5", "--mode", "node"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_conjecture_1_scan_past_the_node_budget_builds_nothing(self, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -670,7 +666,6 @@ _argvs = st.one_of(
     st.tuples(
         st.just(["conjectures"]),
         st.sampled_from(["1", "2", "3", "4"]).map(lambda i: ["--id", i]),
-        _optional("--mode", st.sampled_from(["node", "arc", "both"])),
         _optional("--max-omega", st.one_of(st.integers(-1, 6), st.integers(37, 2**64))),
         _optional("--max-n", st.one_of(st.integers(-1, 3000), st.integers(SIZE_BUDGET + 1, 2**64))),
         _optional("--colex-count", _count),

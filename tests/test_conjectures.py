@@ -317,7 +317,7 @@ class TestScan:
     def test_middle_width_reads_the_shared_reader(self, monkeypatch):
         # W_v and the conjecture 2 scan read the middle level with one function;
         # a reader moved to level 0 shows in both
-        monkeypatch.setattr(invariants, "_middle_nodes", lambda sig, omega, poly: poly[0])
+        monkeypatch.setattr(invariants, "_middle_nodes", lambda omega, poly: poly[0])
         assert width_nodes((2, 1)) == 1
         report = scan(2, [(), (1,), (2, 1), (4, 2)])
         assert report.checked == 4

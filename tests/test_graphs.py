@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from divgraph.graphs import (
 )
 from divgraph.signatures import factorize
 
-from _reference import transitive_reduction_arcs
+from _corpus import oracle_corpus
+from _reference import to_dot_by_lines, to_json_by_lists, transitive_reduction_arcs
 
 signatures = st.lists(st.integers(min_value=1, max_value=4), max_size=4).map(tuple)
 
@@ -202,3 +204,37 @@ class TestSerialization:
         )
         assert rebuilt.nodes == g.nodes
         assert rebuilt.arcs == g.arcs
+
+    @pytest.mark.parametrize(
+        "kind, order_cap",
+        # closures at the corpus's full 5000-node cap hold 11 M arcs, and
+        # the reference routes take seconds per million
+        [(GraphKind.HASSE, 5000), (GraphKind.CLOSURE, 300)],
+    )
+    def test_byte_identical_to_reference_on_oracle_corpus(self, kind, order_cap):
+        for sig in oracle_corpus(order_cap=order_cap):
+            g = build_graph(sig, kind)
+            assert to_dot(g) == to_dot_by_lines(g), sig
+            assert to_json(g) == to_json_by_lists(g), sig
+
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    @pytest.mark.parametrize("bounds", [(1, 3, 2), ()])
+    def test_byte_identical_to_reference_on_edge_shapes(self, bounds, kind):
+        # a non-canonical coordinate order is kept as given; () is one node
+        g = build_graph(bounds, kind)
+        assert to_dot(g) == to_dot_by_lines(g)
+        assert to_json(g) == to_json_by_lists(g)
+
+    @pytest.mark.parametrize("serialize", [to_dot, to_json])
+    def test_serializer_allocates_little_beyond_its_output(self, serialize):
+        # no string or list per arc: the traced peak stays within a small
+        # multiple of the output (copying every arc gives 6 to 9 times it)
+        g = build_graph((6, 5, 4, 2, 1), GraphKind.CLOSURE)
+        assert len(g.arcs) == 157_500
+        tracemalloc.start()
+        try:
+            text = serialize(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)

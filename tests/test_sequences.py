@@ -2,6 +2,7 @@
 
 import functools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -473,16 +474,44 @@ class TestNaturalColumns:
 
     @pytest.mark.parametrize("name", NATURAL_KEYS)
     def test_row_function_called_once_per_signature(self, monkeypatch, name):
+        # a row with a column builds it in one call over the class
+        # signatures and never calls its row function
         calls = Counter()
+        column_calls = []
         func = INVARIANT_FUNCS[name]
+        column = invariants.COLUMNS.get(name)
 
         def counted(sig):
             calls[sig] += 1
             return func(sig)
 
+        def counted_column(sigs):
+            column_calls.append(Counter(sigs))
+            return column(sigs)
+
         monkeypatch.setitem(INVARIANT_FUNCS, name, counted)
+        if column is not None:
+            monkeypatch.setitem(invariants.COLUMNS, name, counted_column)
         generate(name, Ordering.NATURAL, 1500)
         spf = spf_sieve(1500)
         distinct = {signature_from_sieve(n, spf) for n in range(1, 1501)}
         assert len(distinct) == 45
-        assert calls == Counter(distinct)
+        if column is None:
+            assert calls == Counter(distinct) and column_calls == []
+        else:
+            assert calls == Counter() and column_calls == [Counter(distinct)]
+
+    @pytest.mark.parametrize("name", sorted(invariants.COLUMNS))
+    def test_columns_take_any_list_closed_under_dropping_the_smallest_part(self, name):
+        # the natural classes, and a shuffled order in which every signature
+        # comes after the one without its smallest part
+        column, func = invariants.COLUMNS[name], INVARIANT_FUNCS[name]
+        sigs = signatures.natural_classes(10**5)[1]
+        assert column(sigs) == list(map(func, sigs))
+        rng = random.Random(18)
+        rank = {(): 0.0}
+        for sig in sorted(sigs, key=len)[1:]:  # a random rank, never below the parent's
+            rank[sig] = max(rank[sig[:-1]], rng.random())
+        shuffled = sorted(sigs, key=lambda sig: (rank[sig], len(sig)))
+        assert shuffled != sorted(sigs, key=len) and shuffled != sigs
+        assert column(shuffled) == list(map(func, shuffled))
