@@ -22,9 +22,11 @@ the rank sequence with m_i lowered by 1; each is symmetric about
 (Omega-1)/2 and unimodal, so the arc counts peak at floor((Omega-1)/2) and
 ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).  The
 check reads node and arc counts from ``invariants._level_chain``, which
-builds both by a recurrence over the parts rather than by that identity;
-the tests pin the arc counts to the lowered rank sequences and to the
-counts that ``graphs.level_profile`` reads off built Hasse diagrams.  The
+builds both by a recurrence over the parts rather than by that identity,
+on the two polynomials packed into one integer each, and unpacks them
+once; the tests pin both to list running sums, the arc counts to the
+lowered rank sequences, and both to the counts that
+``graphs.level_profile`` reads off built Hasse diagrams.  The
 conjecture 2 scan reads the middle level with ``invariants._middle_nodes``,
 the reader behind W_v, so it checks that reader too.
 

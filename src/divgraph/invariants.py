@@ -5,20 +5,22 @@ ever built.  Every count is an exact integer, however large; the one
 refusal is the omega budget of ``closure_paths``.  ``TABLE`` lists the
 invariants once; the record type, the sequence keys and spellings, and the
 CLI output all derive from it.  Each formula is written once: the level
-polynomial P is a fold of ``_times_window`` over the parts, and P with the
-leaving-arc polynomial A a fold of ``_times_chain``.  W_v reads P and W_e
-reads A at the peak level that conjectures 2 and 3 prove, with one reader
-each, shared by the row function and its column in ``COLUMNS``.  The
-brute-force counterpart that measures the same quantities on an explicit
-graph lives in divgraph.oracle.
+polynomial P and the leaving-arc polynomial A are held packed, one
+coefficient per digit of a single integer, and appending a part is a few
+shifted adds (``_times_h`` for P alone, ``_chain_step`` for the pair).
+W_v reads P and W_e reads A at the peak level that conjectures 2 and 3
+prove, after one unpack, with one reader each, shared by the row function
+and its column in ``COLUMNS``.  The brute-force counterpart that measures
+the same quantities on an explicit graph lives in divgraph.oracle.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, namedtuple
-from itertools import accumulate, repeat
-from operator import add, mul, sub
+from itertools import repeat
+from operator import mul
 from typing import Callable, Iterable
 
 from divgraph.errors import BudgetError
@@ -44,21 +46,58 @@ def hasse_size(parts: Iterable[int]) -> int:
 
 
 def level_node_counts(parts: Iterable[int]) -> list[int]:
-    """|V_l| for l = 0..Omega: coefficients of P(x) = prod_i (1 + x + ... + x^m_i)."""
-    poly = [1]
-    for m in as_signature(parts):
-        poly = _times_window(poly, m)
-    return poly
+    """|V_l| for l = 0..Omega: coefficients of P(x) = prod_i (1 + x + ... + x^m_i).
 
-
-def _times_window(poly: list[int], m: int) -> list[int]:
-    """The coefficients of P(x) (1 + x + ... + x^m), from those of P.
-
-    Each new coefficient is the sum of a window of m+1 old ones, and every
-    window is a difference of one running sum.
+    P is folded packed, one ``_times_h`` per part, and unpacked once.
     """
-    run = list(accumulate(poly, initial=0))
-    return list(map(sub, run[1:] + [run[-1]] * m, [0] * m + run[:-1]))
+    sig = as_signature(parts)
+    size = _digit_bytes([sig])
+    width = 8 * size
+    poly = 1
+    for m in sig:
+        poly = _times_h(poly, m, width)
+    return _unpack(poly, sum(sig) + 1, size)
+
+
+# A packed polynomial is one integer holding coefficient l in bits
+# [l B, (l+1) B).  Every coefficient here is a count of nodes or arcs, never
+# negative, so sums and shifts of packed values add coefficients without a
+# carry as long as no coefficient reaches 2^B; ``_digit_bytes`` picks B.
+
+
+def _digit_bytes(sigs: Iterable[PrimeSignature]) -> int:
+    """Bytes per packed digit for the level polynomials of ``sigs``: at least 8.
+
+    A digit must hold w |V| for w parts and |V| nodes: P's coefficients are
+    at most |V| and A's at most |E^H| < w |V|, and every partial sum that
+    ``_times_h`` and ``_chain_step`` form is at most a final coefficient.
+    A prefix of a signature has smaller coefficients, so the largest bound
+    of a list covers every state its prefix walk visits.
+    """
+    bound = max(len(sig) * math.prod(m + 1 for m in sig) for sig in sigs)
+    return max(8, -(-bound.bit_length() // 8))
+
+
+def _unpack(value: int, count: int, size: int) -> list[int]:
+    """The ``count`` digits of ``size`` bytes of a packed polynomial, lowest first."""
+    if size == 8 and sys.byteorder == "little":  # native 8-byte digits
+        return memoryview(value.to_bytes(8 * count, "little")).cast("Q").tolist()
+    data = value.to_bytes(size * count, "little")
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, size * count, size)]
+
+
+def _times_h(value: int, m: int, width: int) -> int:
+    """Packed Q (1 + x + ... + x^m) from packed Q, with ``width``-bit digits.
+
+    h_(2k+1) = h_k (1 + x^(k+1)) and h_(2k) = h_(2k-1) + x^(2k), so it takes
+    O(log m) shifted adds.
+    """
+    if m == 0:
+        return value
+    if m % 2:
+        half = _times_h(value, m // 2, width)
+        return half + (half << width * (m // 2 + 1))
+    return _times_h(value, m - 1, width) + (value << width * m)
 
 
 def _prefix_column(
@@ -75,7 +114,10 @@ def _prefix_column(
     walk starts at () with state ``root`` and appends parts that do not
     increase, up to the largest Omega in ``sigs``; a child's state is
     ``extend(state, part)`` of its parent's, and ``read(Omega, state)`` is
-    its value, written in its row.  Only the states on the stack are kept.
+    its value, written in its row.  Only the states on the stack are kept,
+    and siblings share their parent's, so ``extend`` must not change it:
+    the packed integers of ``Wv`` and ``We`` cannot be changed, and ``PT``
+    builds a new list.
     """
     values = dict.fromkeys(sigs)  # insertion order is row order
     top = max(map(sum, sigs))
@@ -93,34 +135,36 @@ def _prefix_column(
 
 def level_arc_counts(parts: Iterable[int]) -> list[int]:
     """Arcs leaving level l for l = 0..Omega-1 (empty list for Omega = 0);
-    see ``_times_chain``."""
+    see ``_chain_step``."""
     return _level_chain(parts)[1]
 
 
 def _level_chain(parts: Iterable[int]) -> tuple[list[int], list[int]]:
-    """(node counts, leaving-arc counts) by level: ``_times_chain`` folded over the parts."""
-    state = ([1], [])
-    for m in as_signature(parts):
-        state = _times_chain(state, m)
-    return state
+    """(node counts, leaving-arc counts) by level: ``_chain_step`` folded
+    over the parts on packed (P, A), then both unpacked once."""
+    sig = as_signature(parts)
+    size = _digit_bytes([sig])
+    width = 8 * size
+    state = (1, 0)
+    for m in sig:
+        state = _chain_step(state, m, width)
+    omega = sum(sig)
+    return _unpack(state[0], omega + 1, size), _unpack(state[1], omega, size)
 
 
-def _times_chain(state: tuple[list[int], list[int]], m: int) -> tuple[list[int], list[int]]:
-    """(P h_m, A h_m + P h_(m-1)) from (P, A), where h_m = 1 + x + ... + x^m.
+def _chain_step(state: tuple[int, int], m: int, width: int) -> tuple[int, int]:
+    """Packed (P h_m, A h_m + P h_(m-1)) from packed (P, A), where h_m = 1 + x + ... + x^m.
 
     P is the level polynomial and A the leaving-arc polynomial of a
     signature; appending a part m gives those of the longer one.  An arc
     either raises an old coordinate, with the new one at any of its m+1
     values, or raises the new one from a value below m.  P h_m is
-    P h_(m-1) + x^m P, so the window step for P h_(m-1) serves both lists;
-    for m = 1 it is P itself and no step is taken.  The input lists are not
-    changed: ``_prefix_column`` passes one parent's state to all its
-    children.
+    P h_(m-1) + x^m P, so one product L = P h_(m-1) serves both; for m = 1
+    it is P itself.
     """
     poly, arcs = state
-    lower = poly if m == 1 else _times_window(poly, m - 1)
-    upper = list(map(add, lower + [0], [0] * m + poly))
-    return upper, list(map(add, _times_window(arcs, m), lower))
+    lower = poly if m == 1 else _times_h(poly, m - 1, width)
+    return lower + (poly << width * m), _times_h(arcs, m, width) + lower
 
 
 def _middle_nodes(omega: int, poly: list[int]) -> int:
@@ -128,10 +172,10 @@ def _middle_nodes(omega: int, poly: list[int]) -> int:
     return poly[omega // 2]
 
 
-def _middle_arcs(omega: int, state: tuple[list[int], list[int]]) -> int:
+def _middle_arcs(omega: int, arcs: list[int]) -> int:
     """Arcs leaving level floor((Omega-1)/2), the most (conjecture 3's
     theorem); 0 for the empty signature."""
-    return state[1][(omega - 1) // 2] if omega else 0
+    return arcs[(omega - 1) // 2] if omega else 0
 
 
 def width_nodes(parts: Iterable[int]) -> int:
@@ -143,8 +187,32 @@ def width_nodes(parts: Iterable[int]) -> int:
 def width_arcs(parts: Iterable[int]) -> int:
     """W_e: largest level by leaving-arc count, read at its proven peak
     floor((Omega-1)/2); 0 for the empty signature."""
-    state = _level_chain(parts)
-    return _middle_arcs(len(state[0]) - 1, state)
+    poly, arcs = _level_chain(parts)
+    return _middle_arcs(len(poly) - 1, arcs)
+
+
+def _node_width_column(sigs: list[PrimeSignature]) -> list[int]:
+    """W_v over ``sigs`` by ``_prefix_column``, carrying packed P."""
+    size = _digit_bytes(sigs)
+    width = 8 * size
+    return _prefix_column(
+        sigs,
+        1,
+        lambda poly, m: _times_h(poly, m, width),
+        lambda omega, poly: _middle_nodes(omega, _unpack(poly, omega + 1, size)),
+    )
+
+
+def _arc_width_column(sigs: list[PrimeSignature]) -> list[int]:
+    """W_e over ``sigs`` by ``_prefix_column``, carrying packed (P, A)."""
+    size = _digit_bytes(sigs)
+    width = 8 * size
+    return _prefix_column(
+        sigs,
+        (1, 0),
+        lambda state, m: _chain_step(state, m, width),
+        lambda omega, state: _middle_arcs(omega, _unpack(state[1], omega, size)),
+    )
 
 
 def degree(parts: Iterable[int]) -> int:
@@ -305,13 +373,14 @@ TABLE = (
 #: dropping the smallest part (a graded-order prefix, or the classes of
 #: ``natural_classes``), built in one walk of the partition tree, for the
 #: rows that have one.  Each equals the row function mapped over ``sigs``.
-#: ``Wv`` carries the level polynomial P down the walk and ``We`` the pair
-#: (P, A), each step the one that ``level_node_counts`` and
-#: ``level_arc_counts`` fold, and each reads its state with the same
-#: function as ``width_nodes`` and ``width_arcs``.
+#: ``Wv`` carries packed P down the walk and ``We`` packed (P, A), each step
+#: the one that ``level_node_counts`` and ``level_arc_counts`` fold, with
+#: digits wide enough for the largest signature of the list; each unpacks
+#: its state and reads it with the same function as ``width_nodes`` and
+#: ``width_arcs``.
 COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
-    "Wv": lambda sigs: _prefix_column(sigs, [1], _times_window, _middle_nodes),
-    "We": lambda sigs: _prefix_column(sigs, ([1], []), _times_chain, _middle_arcs),
+    "Wv": _node_width_column,
+    "We": _arc_width_column,
     "PT": _closure_paths_column,
 }
 

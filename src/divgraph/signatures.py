@@ -24,10 +24,10 @@ INT_BOUND = 2**63 - 1
 #: a sequence table's count, and a conjecture scan's --max-n, --colex-count
 #: and number of signatures with 1 <= Omega <= --max-omega (so --max-omega
 #: is at most 36).  Signature-order work grows with Omega as well as with
-#: the count: at 10^5 a colex W_e table took about 1.5 s at a 24 MB
-#: tracemalloc peak and a natural-order table 0.03-0.04 s at a 2 MB peak,
-#: while at 10^6 a colex V table alone took 5 s at a 202 MB peak RSS
-#: (2-CPU x86-64, Python 3.11).
+#: the count: at 10^5 a colex |P^T| table took about 1 s and a W_e table
+#: about 0.8 s at a 20 MB tracemalloc peak, and a natural-order table
+#: 0.03-0.04 s at a 2 MB peak, while at 10^6 a colex V table alone took
+#: 5 s at a 202 MB peak RSS (2-CPU x86-64, Python 3.11).
 SIZE_BUDGET = 10**5
 
 Factorization = tuple[tuple[int, int], ...]  # ((prime, exponent), ...), primes ascending

@@ -5,11 +5,12 @@ recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
 certificate, by trial division instead of Miller–Rabin and Pollard's rho,
 by stride-offset sums instead of shifted up-sets, by polynomial
-convolution instead of running sums, by lowered rank sequences instead of
-the arc-count recurrence, by the largest level instead of the proven peak
-level, by a loop per multiple instead of slice assignment, by recursion
-instead of from earlier partition grades, or row by row through
-``SequenceEntry`` objects instead of over a table's columns.
+convolution or by list running sums instead of packed shifted adds, by
+lowered rank sequences instead of the arc-count recurrence, by the largest
+level instead of the proven peak level, by a loop per multiple instead of
+slice assignment, by recursion instead of from earlier partition grades,
+or row by row through ``SequenceEntry`` objects instead of over a table's
+columns.
 ``factorization_value`` multiplies a factorization back out, to check it.
 ``to_dot_by_lines`` and ``to_json_by_lists`` serialize a graph with one
 string or one list per node and per arc, to check the library's output
@@ -22,6 +23,7 @@ import itertools
 import json
 import math
 from collections import Counter, deque
+from operator import add, sub
 from typing import Optional
 
 from divgraph._kernels_py import _strides, enumerate_nodes
@@ -311,6 +313,35 @@ def level_arc_counts_by_convolution(parts) -> list[int]:
         for l, c in enumerate(clamped):
             counts[l] += c
     return counts
+
+
+def times_window(poly: list[int], m: int) -> list[int]:
+    """The coefficients of P(x) (1 + x + ... + x^m), from those of P.
+
+    Each new coefficient is the sum of a window of m+1 old ones, and every
+    window is a difference of one running sum.
+    """
+    run = list(itertools.accumulate(poly, initial=0))
+    return list(map(sub, run[1:] + [run[-1]] * m, [0] * m + run[:-1]))
+
+
+def times_chain(state: tuple[list[int], list[int]], m: int) -> tuple[list[int], list[int]]:
+    """(P h_m, A h_m + P h_(m-1)) from (P, A) as coefficient lists, where
+    h_m = 1 + x + ... + x^m; the same step as ``invariants._chain_step``,
+    by window sums.  P h_m is P h_(m-1) + x^m P.
+    """
+    poly, arcs = state
+    lower = poly if m == 1 else times_window(poly, m - 1)
+    upper = list(map(add, lower + [0], [0] * m + poly))
+    return upper, list(map(add, times_window(arcs, m), lower))
+
+
+def level_chain_by_running_sums(parts) -> tuple[list[int], list[int]]:
+    """(node counts, leaving-arc counts) by level: ``times_chain`` folded over the parts."""
+    state = ([1], [])
+    for m in as_signature(parts):
+        state = times_chain(state, m)
+    return state
 
 
 def level_arc_counts_by_lowering(parts) -> list[int]:

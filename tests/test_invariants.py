@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from divgraph import invariants
 from divgraph.errors import BudgetError
 from divgraph.graphs import GraphKind, build_graph, level_profile
 from divgraph.invariants import (
@@ -34,7 +35,9 @@ from _reference import (
     hasse_paths_recursive,
     level_arc_counts_by_convolution,
     level_arc_counts_by_lowering,
+    level_chain_by_running_sums,
     level_node_counts_by_convolution,
+    times_chain,
     width_arcs_by_max,
     width_nodes_by_max,
 )
@@ -125,6 +128,68 @@ class TestLevels:
         assert arcs == arcs[::-1]
         if sum(sig) >= 1:
             assert nodes[1] == nodes[-2] == len(sig)
+
+
+def _assert_rows_equal_running_sums(sig):
+    """Check the four row functions against the list running-sum route;
+    return the (W_v, W_e) pair checked."""
+    nodes, arcs = level_chain_by_running_sums(sig)
+    omega = len(nodes) - 1
+    widths = nodes[omega // 2], arcs[(omega - 1) // 2] if omega else 0
+    assert level_node_counts(sig) == nodes
+    assert level_arc_counts(sig) == arcs
+    assert (width_nodes(sig), width_arcs(sig)) == widths
+    return widths
+
+
+def _assert_columns_equal_prefix_widths(sig):
+    # the prefixes of a signature are closed under dropping the smallest part
+    prefixes = [sig[:i] for i in range(len(sig) + 1)]
+    state = ([1], [])
+    node_widths, arc_widths = [1], [0]
+    for m in sig:
+        state = times_chain(state, m)
+        nodes, arcs = state
+        node_widths.append(nodes[(len(nodes) - 1) // 2])
+        arc_widths.append(arcs[(len(arcs) - 1) // 2])
+    assert invariants.COLUMNS["Wv"](prefixes) == node_widths
+    assert invariants.COLUMNS["We"](prefixes) == arc_widths
+
+
+LONG_SHAPES = [(1,) * 300, (2,) * 200 + (1,) * 200, tuple(range(60, 0, -1)), (5528, 5528), (14290,)]
+
+
+class TestPackedFolds:
+    """The packed folds and columns against the list running-sum route."""
+
+    def test_rows_and_columns_equal_running_sums_up_to_omega_20(self):
+        sigs = [p for k in range(21) for p in partitions_of(k)]
+        assert len(sigs) == 2714
+        node_widths, arc_widths = map(list, zip(*map(_assert_rows_equal_running_sums, sigs)))
+        assert invariants.COLUMNS["Wv"](sigs) == node_widths
+        assert invariants.COLUMNS["We"](sigs) == arc_widths
+
+    @pytest.mark.parametrize("sig", LONG_SHAPES, ids=lambda sig: f"{len(sig)}-parts-from-{sig[0]}")
+    def test_rows_and_columns_equal_running_sums_on_long_shapes(self, sig):
+        _assert_rows_equal_running_sums(sig)
+        _assert_columns_equal_prefix_widths(sig)
+
+    @pytest.mark.parametrize(
+        "sig,size",
+        [((), 8), ((1,), 8), ((1,) * 58, 8), ((1,) * 59, 9), ((14290,), 8)],
+        ids=["empty", "one", "58-ones", "59-ones", "one-long-part"],
+    )
+    def test_digit_width_holds_parts_times_nodes(self, sig, size):
+        # a digit holds w |V|: 58 * 2^58 < 2^64 <= 59 * 2^59; a single long
+        # part needs small digits, but many of them
+        assert invariants._digit_bytes([sig]) == size
+        _assert_rows_equal_running_sums(sig)
+        _assert_columns_equal_prefix_widths(sig)
+
+    def test_column_width_comes_from_the_largest_bound(self):
+        ones = [(1,) * k for k in range(60)]
+        assert invariants._digit_bytes(ones[:59]) == 8
+        assert invariants._digit_bytes(ones) == invariants._digit_bytes(ones[::-1]) == 9
 
 
 class TestWidths:
