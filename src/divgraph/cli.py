@@ -182,8 +182,6 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         check_size("--colex-count", args.colex_count)
         sigs = enumerate_signatures(SignatureOrder.GRADED_COLEX, args.colex_count)
         scope = f"first {args.colex_count} graded-colex signatures"
-    else:
-        raise ValueError(f"unknown conjecture id {args.id}")
     node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
     if args.id == 1 and (nodes := sum(map(invariants.order, sigs))) > node_budget:
         raise BudgetError(

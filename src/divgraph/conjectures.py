@@ -43,7 +43,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from divgraph import invariants
 from divgraph.errors import BudgetError
@@ -110,16 +110,6 @@ def max_disjoint_paths(g: DivisorGraph) -> int:
     return w
 
 
-def check_middle_width(parts: Iterable[int]) -> bool:
-    """Does the node width equal the node count at level floor(Omega/2)?"""
-    return _middle_width_failure(as_signature(parts)) is None
-
-
-def check_argmax_coincidence(parts: Iterable[int]) -> bool:
-    """Do the node-count and arc-count argmax sets over 0..Omega-1 intersect?"""
-    return _argmax_failure(as_signature(parts)) is None
-
-
 # Each check returns None when the conjecture holds for the signature, else
 # the (observed, expected) payload of its counterexample.
 
@@ -142,8 +132,6 @@ def _middle_width_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object
 
 
 def _argmax_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
-    if not sig:
-        raise ValueError("argmax coincidence is undefined for the empty signature")
     poly, arc_counts = _level_chain(sig)
     node_counts = poly[:-1]  # levels 0..Omega-1
     top_nodes, top_arcs = max(node_counts), max(arc_counts)

@@ -7,7 +7,7 @@ sink.  Two kinds are supported: the Hasse diagram (covering relation, arcs
 raise one coordinate by one) and the transitive closure (every dominated
 pair).  Graphs are immutable once built.  ``level_profile`` reads everything
 the oracle needs from a Hasse diagram (levels, per-level counts, degrees and
-distances from the source) in one pass over its arcs, once per graph.
+longest distances from the source) in one pass over its arcs, once per graph.
 """
 
 from __future__ import annotations
@@ -68,18 +68,15 @@ class DivisorGraph:
         arc_counts = [0] * top
         indeg = [0] * n
         outdeg = [0] * n
-        shortest = [n + 1] * n
         longest = [-1] * n
-        shortest[0] = longest[0] = 0
+        longest[0] = 0
         for a, b in self.arcs:
             arc_counts[levels[a]] += 1
             outdeg[a] += 1
             indeg[b] += 1
-            if shortest[a] + 1 < shortest[b]:
-                shortest[b] = shortest[a] + 1
             if longest[a] + 1 > longest[b]:
                 longest[b] = longest[a] + 1
-        return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, shortest, longest)
+        return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, longest)
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ class LevelProfile:
     levels: list[int]  # level of each node
     indeg: list[int]
     outdeg: list[int]
-    shortest: list[int]  # fewest arcs from node 0; node count + 1 if unreached
     longest: list[int]  # most arcs from node 0; -1 if unreached
 
 
@@ -108,6 +104,8 @@ def build_graph(
     formula, are checked against the budgets before anything is built;
     ``invariants.order`` refuses bounds that are not positive integers.
     """
+    if not isinstance(kind, GraphKind):
+        raise ValueError(f"unknown graph kind {kind!r}")
     bounds = tuple(bounds)
     n = invariants.order(bounds)
     if n > node_budget:
@@ -117,21 +115,16 @@ def build_graph(
         if size > arc_budget:
             raise BudgetError(f"closure with {size} arcs exceeds arc budget {arc_budget}")
     nodes = kernels.enumerate_nodes(bounds)
-    if kind is GraphKind.HASSE:
-        arcs = kernels.hasse_arcs(bounds)
-    elif kind is GraphKind.CLOSURE:
-        arcs = kernels.closure_arcs(bounds)
-    else:
-        raise ValueError(f"unknown graph kind {kind!r}")
+    arcs = kernels.hasse_arcs(bounds) if kind is GraphKind.HASSE else kernels.closure_arcs(bounds)
     return DivisorGraph(signature=bounds, kind=kind, nodes=nodes, arcs=arcs)
 
 
 def level_profile(g: DivisorGraph) -> LevelProfile:
-    """Levels, per-level counts, degrees and distances of a Hasse diagram.
+    """Levels, per-level counts, degrees and longest distances of a Hasse diagram.
 
     One pass over ``g.arcs`` counts arcs by the level of their tail, counts
-    degrees, and pushes the shortest and longest arc distances from node 0
-    forward, which needs the tail order that ``DivisorGraph`` documents.
+    degrees, and pushes the longest arc distance from node 0 forward, which
+    needs the tail order that ``DivisorGraph`` documents.
     Levels are exponent sums read off ``g.nodes`` and the top level is the
     highest of them, never a formula of the signature.  The pass runs once
     per graph: later calls return the same profile, whose lists the caller

@@ -159,11 +159,10 @@ def _chain_step(state: tuple[int, int], m: int, width: int) -> tuple[int, int]:
     signature; appending a part m gives those of the longer one.  An arc
     either raises an old coordinate, with the new one at any of its m+1
     values, or raises the new one from a value below m.  P h_m is
-    P h_(m-1) + x^m P, so one product L = P h_(m-1) serves both; for m = 1
-    it is P itself.
+    P h_(m-1) + x^m P, so one product L = P h_(m-1) serves both.
     """
     poly, arcs = state
-    lower = poly if m == 1 else _times_h(poly, m - 1, width)
+    lower = _times_h(poly, m - 1, width)
     return lower + (poly << width * m), _times_h(arcs, m, width) + lower
 
 
@@ -282,23 +281,21 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     multichains = [1] * total  # M(j) for j = 1..Omega
     for m, mult in Counter(sig).items():
         row = _multichain_row(m, total)
-        multichains = list(map(mul, multichains, row if mult == 1 else map(pow, row, repeat(mult))))
+        multichains = list(map(mul, multichains, map(pow, row, repeat(mult))))
     return sum(map(mul, _closure_weights(total), multichains))
 
 
-def _closure_paths_column(
-    sigs: list[PrimeSignature], *, omega_budget: int = DEFAULT_OMEGA_BUDGET
-) -> list[int]:
+def _closure_paths_column(sigs: list[PrimeSignature]) -> list[int]:
     """|P^T| = sum_j T(Omega, j) M(j) over ``sigs``; see ``closure_paths``.
 
     ``sigs`` is closed under dropping the smallest part, as for
     ``_prefix_column``.  A node's vector M is its parent's times the
     appended part's binomial row, and each grade's T(Omega, .) is computed
-    once.  The omega budget is checked once, for the largest Omega of the
-    list, before any work.
+    once.  The default omega budget is checked once, for the largest Omega
+    of the list, before any work.
     """
     top = max(map(sum, sigs))
-    _check_omega(top, omega_budget)
+    _check_omega(top, DEFAULT_OMEGA_BUDGET)
     rows = [None] + [_multichain_row(m, top) for m in range(1, top + 1)]
     weights = [None] + [_closure_weights(total) for total in range(1, top + 1)]
 
@@ -343,11 +340,6 @@ def _check_omega(total: int, omega_budget: int) -> None:
         raise BudgetError(f"Omega {total} exceeds omega budget {omega_budget}")
 
 
-def height(parts: Iterable[int]) -> int:
-    """Longest (equivalently shortest) source-to-sink path length: Omega."""
-    return big_omega(parts)
-
-
 #: The fourteen invariants in table-row order, one row each:
 #: (key, record field, function of the signature, accepted spellings).
 #: A name resolves to a key when it equals the key or, lowercased, one of the
@@ -355,7 +347,7 @@ def height(parts: Iterable[int]) -> int:
 TABLE = (
     ("V", "order", order, ("|v|", "v")),
     ("EH", "hasse_size", hasse_size, ("|e^h|", "e^h", "eh")),
-    ("Omega", "big_omega", height, ("bigomega",)),
+    ("Omega", "big_omega", big_omega, ("bigomega",)),
     ("omega", "small_omega", small_omega, ("smallomega",)),
     ("Wv", "width_nodes", width_nodes, ("w_v", "wv")),
     ("We", "width_arcs", width_arcs, ("w_e", "we")),

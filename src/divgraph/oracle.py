@@ -2,8 +2,9 @@
 
 Ground truth for the formulas in divgraph.invariants: everything here is
 read off the node and arc lists by counting, bucketing, and path DP, never
-by formula.  Levels, counts, degrees and distances come from one pass,
-``graphs.level_profile``; path counts from one forward push over the arcs.
+by formula.  Levels, counts, degrees and longest distances from the source
+come from one pass, ``graphs.level_profile``; path counts from one forward
+push over the arcs.
 """
 
 from __future__ import annotations
@@ -109,14 +110,16 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
     )
 
     # Unique source and sink, every arc climbs exactly one level, and the
-    # shortest and longest source-sink distances both equal Omega.
+    # longest source-sink distance equals Omega.  With one source, one sink
+    # and one-level steps, every maximal path runs from the source to the
+    # sink one level per arc, so all have the longest one's length.
     sources = [v for v in range(n) if indeg[v] == 0]
     sinks = [v for v in range(n) if outdeg[v] == 0]
     uniform_path_length = (
         sources == [0]
         and sinks == [n - 1]
         and steps <= {1}
-        and profile.shortest[-1] == profile.longest[-1] == omega_total
+        and profile.longest[-1] == omega_total
     )
 
     return StructureReport(

@@ -10,8 +10,6 @@ import pytest
 from divgraph import cli, conjectures, invariants, kernels
 from divgraph.conjectures import (
     DisjointMode,
-    check_argmax_coincidence,
-    check_middle_width,
     max_disjoint_paths,
     scan,
 )
@@ -182,36 +180,32 @@ class TestMaxDisjointPaths:
 
 class TestWidthChecks:
     def test_middle_width_worked_example(self):
-        assert check_middle_width((2, 3, 1)) is True
+        assert scan(2, [(2, 3, 1)]).ok
 
     def test_middle_width_trivial(self):
-        assert check_middle_width(()) is True
+        assert scan(2, [()]).ok
 
     def test_middle_width_4_2(self):
         # levels of (4,2) are [1,2,3,3,3,2,1]; the middle level 3 attains
         # the maximum even though it is not the unique argmax
-        assert check_middle_width((4, 2)) is True
+        assert scan(2, [(4, 2)]).ok
 
     def test_argmax_worked_example(self):
-        assert check_argmax_coincidence((2, 3, 1)) is True
+        assert scan(3, [(2, 3, 1)]).ok
 
     def test_argmax_prime(self):
-        assert check_argmax_coincidence((1,)) is True
+        assert scan(3, [(1,)]).ok
 
     def test_argmax_5221(self):
-        assert check_argmax_coincidence((5, 2, 2, 1)) is True
-
-    def test_argmax_rejects_empty(self):
-        with pytest.raises(ValueError):
-            check_argmax_coincidence(())
+        assert scan(3, [(5, 2, 2, 1)]).ok
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9])
     def test_chains_pass_all_three_checks(self, k):
         sig = (k,)
         g = build_graph(sig, GraphKind.HASSE)
         assert max_disjoint_paths(g) == 1 == len(sig)
-        assert check_middle_width(sig)
-        assert check_argmax_coincidence(sig)
+        assert scan(2, [sig]).ok
+        assert scan(3, [sig]).ok
 
 
 class TestScan:

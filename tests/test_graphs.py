@@ -62,6 +62,12 @@ class TestBuildGraph:
                 with pytest.raises(ValueError, match="positive integers"):
                     build_graph(bounds, kind)
 
+    @pytest.mark.parametrize("bounds", [(1,), (1000, 1000), (1,) * 64])
+    def test_rejects_a_kind_before_any_work(self, bounds):
+        # a string is not a GraphKind; it is refused before the budgets
+        with pytest.raises(ValueError, match="unknown graph kind 'hasse'"):
+            build_graph(bounds, "hasse")
+
     def test_nodes_lexicographic(self):
         g = build_graph((1, 2), GraphKind.HASSE)
         assert g.nodes == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
@@ -120,7 +126,7 @@ class TestLevelProfile:
         assert profile.node_counts[5] == 3
         assert profile.arc_counts[0] == 3
         assert max(profile.arc_counts) == 12
-        assert profile.shortest[-1] == profile.longest[-1] == 6
+        assert profile.longest[-1] == 6
         assert max(profile.indeg) == max(profile.outdeg) == 3
         assert max(i + o for i, o in zip(profile.indeg, profile.outdeg)) == 5
         assert [profile.levels.count(l) for l in range(7)] == profile.node_counts
@@ -130,7 +136,7 @@ class TestLevelProfile:
         assert profile.node_counts == [1]
         assert profile.arc_counts == []
         assert profile.levels == profile.indeg == profile.outdeg == [0]
-        assert profile.shortest == profile.longest == [0]
+        assert profile.longest == [0]
 
     def test_prime(self):
         profile = level_profile(build_graph((1,), GraphKind.HASSE))

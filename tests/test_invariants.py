@@ -18,7 +18,6 @@ from divgraph.invariants import (
     degree,
     hasse_paths,
     hasse_size,
-    height,
     level_arc_counts,
     level_node_counts,
     node_parity,
@@ -26,7 +25,7 @@ from divgraph.invariants import (
     width_arcs,
     width_nodes,
 )
-from divgraph.signatures import partitions_of
+from divgraph.signatures import big_omega, partitions_of
 
 from _corpus import oracle_corpus, small_corpus
 from _reference import (
@@ -353,7 +352,7 @@ class TestClosurePaths:
 class TestHeightAndBundle:
     @pytest.mark.parametrize("sig,expected", [((2, 1), 3), ((), 0), ((5,), 5)])
     def test_height(self, sig, expected):
-        assert height(sig) == expected
+        assert big_omega(sig) == expected
 
     def test_omega_budget_checked_first(self):
         # no level list of 10^9 entries and no factorial of 10^9 is built

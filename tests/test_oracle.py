@@ -67,7 +67,7 @@ class TestCountPaths:
         assert count_paths(gT) == 1
 
     @given(st.lists(st.integers(min_value=1, max_value=3), max_size=3).map(tuple))
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     def test_dp_equals_exhaustive_dfs(self, sig):
         g, gT = _pair(sig)
         assert count_paths(g) == count_paths_dfs(g)

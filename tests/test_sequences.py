@@ -119,6 +119,21 @@ class TestGenerate:
                 )
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: generate("V", Ordering.CANONICAL, 0), "count must be positive, got 0"),
+            (lambda: emit(generate("V", Ordering.CANONICAL, 3), "csv"), "unknown format 'csv'"),
+        ],
+        ids=["generate-count-0", "emit-str-format"],
+    )
+    def test_error_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestFixtureRows:
     @pytest.mark.parametrize("name", sorted(NATURAL_ROWS))
     def test_natural_rows(self, name):
@@ -444,19 +459,21 @@ class TestSignatureOrderColumns:
 
     @pytest.mark.parametrize("ordering", SIGNATURE_ORDERS, ids=lambda o: o.value)
     @pytest.mark.parametrize("count", [1, 29, 30, 31, 44, 45, 46, 67])
-    def test_closure_paths_budget_raises_where_rows_would(self, ordering, count):
-        # a budget of 6 admits grades 0..6, which end at count 30
+    def test_closure_paths_budget_raises_where_rows_would(self, ordering, count, monkeypatch):
+        # a budget of 6 admits grades 0..6, which end at count 30; the
+        # column checks the default budget, lowered here to 6
         sigs = enumerate_signatures(SignatureOrder(ordering.value), count)
         column = invariants.COLUMNS["PT"]
+        monkeypatch.setattr(invariants, "DEFAULT_OMEGA_BUDGET", 6)
         try:
             expected = [closure_paths(sig, omega_budget=6) for sig in sigs]
         except BudgetError:
             assert count > 30
             with pytest.raises(BudgetError, match="exceeds omega budget 6"):
-                column(sigs, omega_budget=6)
+                column(sigs)
         else:
             assert count <= 30
-            assert column(sigs, omega_budget=6) == expected
+            assert column(sigs) == expected
 
 
 NATURAL_KEYS = [name for name in INVARIANT_FUNCS if name != "LI"]

@@ -153,6 +153,22 @@ class TestNaturalSignatures:
         assert list(dict.fromkeys(classes)) == list(range(len(sigs)))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: factorize("12"), "n must be an integer, got '12'"),
+            (lambda: factorize(12.0), "n must be an integer, got 12.0"),
+            (lambda: enumerate_signatures("colex", 3), "unknown order 'colex'"),
+        ],
+        ids=["factorize-str", "factorize-float", "enumerate-str-order"],
+    )
+    def test_error_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestSizeBudget:
     def test_at_budget_accepted(self):
         check_size("count", SIZE_BUDGET)
