@@ -2,16 +2,18 @@
 
 Nodes are exponent vectors below ``bounds``, indexed by their position in
 lexicographic order, so every arc (tail, head) satisfies tail < head and
-the index order is already topological.  Neither arc kernel scans node
-pairs: a Hasse head is the tail's index plus one coordinate's stride, and
-a closure tail's heads are its up-set, built by shifting the up-sets of
-the later coordinates.
+the index order is already topological.  The arc kernels return ``Arcs``:
+one plain list of heads per tail, ascending, and no tuple per arc.
+Neither kernel scans node pairs: a Hasse head is the tail's index plus one
+coordinate's stride, and a closure tail's heads are its up-set, built by
+shifting the up-sets of the later coordinates.
 
 Each kernel runs with the cyclic garbage collector paused: the lists and
-tuples it builds hold only ints and can form no cycle, yet the
+tuples it builds hold only ints and can form no cycle, yet the full
 collections that their allocations trigger would traverse them again and
-again.  The collector is process-wide, so a concurrent caller may run
-paused too; no value depends on it.
+again (a Hasse diagram allocates one row list per node).  The collector
+is process-wide, so a concurrent caller may run paused too; no value
+depends on it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,33 @@ import functools
 import gc
 import itertools
 from typing import Iterator
+
+
+class Arcs:
+    """The arcs of a graph as adjacency rows: ``rows[i]`` is the list of
+    node i's heads, ascending, so iterating the rows in order visits the
+    arcs sorted by tail, then head.  ``len`` is the arc count, counted from
+    the rows once when the value is built; iterating yields the
+    ``(tail, head)`` pairs in that order.  Treat the rows as read-only."""
+
+    __slots__ = ("rows", "_count")
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+        self._count = sum(map(len, rows))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for tail, row in enumerate(self.rows):
+            for head in row:
+                yield tail, head
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Arcs):
+            return NotImplemented
+        return self.rows == other.rows
 
 
 def _collector_paused(kernel):
@@ -60,9 +89,9 @@ def _strides(bounds: tuple[int, ...]) -> list[int]:
 
 
 @_collector_paused
-def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
+def closure_arcs(bounds: tuple[int, ...]) -> Arcs:
     """Arcs of the transitive closure: every ordered pair a < b with a
-    componentwise below b, sorted by tail, heads ascending.
+    componentwise below b.
 
     The up-set of a node is the node itself followed by every node above
     it, ascending.  Up-sets are built one coordinate at a time, last
@@ -70,8 +99,8 @@ def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
     the up-set of (x, y) is the up-set of y shifted by x'*size for each
     x' = x..m in turn.  Walking x down from m, each up-set is the previous
     one with one shifted copy in front, so the per-element work runs in
-    ``map`` and list concatenation.  A tail's arcs are its up-set minus
-    itself; the work is linear in the arc count.
+    ``map`` and list concatenation.  A tail's row is its up-set with the
+    tail itself removed, in place; the work is linear in the arc count.
     """
     ups = [[0]]  # the up-set of the one node over no coordinates
     size = 1
@@ -84,24 +113,17 @@ def closure_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
                 new[x * size + j] = acc
         ups = new
         size *= m + 1
-    arcs: list[tuple[int, int]] = []
-    for i, up in enumerate(ups):
-        arcs.extend(zip(itertools.repeat(i), itertools.islice(up, 1, None)))
-    return arcs
+    for up in ups:
+        del up[0]
+    return Arcs(ups)
 
 
 @_collector_paused
-def hasse_arcs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
+def hasse_arcs(bounds: tuple[int, ...]) -> Arcs:
     """Arcs of the Hasse diagram: bump one coordinate by one, which moves
     the index by that coordinate's stride.  The nodes are walked with
     ``_nodes`` without building their list."""
-    w = len(bounds)
     strides = _strides(bounds)
-    arcs: list[tuple[int, int]] = []
-    append = arcs.append
-    for i, v in enumerate(_nodes(bounds)):
-        # ks descending gives ascending head indices per tail
-        for k in range(w - 1, -1, -1):
-            if v[k] < bounds[k]:
-                append((i, i + strides[k]))
-    return arcs
+    # coordinates descending give ascending heads in each row
+    ks = [(k, bounds[k], strides[k]) for k in range(len(bounds) - 1, -1, -1)]
+    return Arcs([[i + s for k, m, s in ks if v[k] < m] for i, v in enumerate(_nodes(bounds))])

@@ -13,10 +13,11 @@ coordinate i to its bound, then i+1, and so on cyclically; an internal node
 of chain i is nonzero on a cyclic interval of coordinates that starts at i,
 so the omega chains share no internal node, hence no arc, and Menger's
 theorem (1927) gives exactly omega either way.  ``max_disjoint_paths``
-checks it on the built graph, with index steps read off the source's
-arcs.  Conjecture 2: the lattice is a product of chains, which has a
-symmetric chain decomposition (de Bruijn, van Ebbenhorst Tengbergen and
-Kruyswijk, 1951), so its level sizes are symmetric and unimodal.
+checks it on the built graph, with index steps read off the source's row
+of heads and each chain arc looked up in its tail's row.  Conjecture 2:
+the lattice is a product of chains, which has a symmetric chain
+decomposition (de Bruijn, van Ebbenhorst Tengbergen and Kruyswijk, 1951),
+so its level sizes are symmetric and unimodal.
 Conjecture 3: the arcs leaving level l number sum_i N^(i)_l, where N^(i) is
 the rank sequence with m_i lowered by 1; each is symmetric about
 (Omega-1)/2 and unimodal, so the arc counts peak at floor((Omega-1)/2) and
@@ -36,11 +37,8 @@ list is evidence on the scanned range only.
 
 from __future__ import annotations
 
-import itertools
 import json
-import operator
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -63,17 +61,16 @@ def max_disjoint_paths(g: DivisorGraph) -> int:
 
     Checks the certificate of conjecture 1 on ``g`` and returns
     ``len(g.signature)``, node- or arc-disjoint alike.  Upper bound: exactly
-    omega arcs of ``g.arcs`` leave node 0; with the nodes in lexicographic
-    order, their heads, largest first, are the index steps of coordinates
-    0, 1, ....  Lower bound: for each coordinate i, the chain that raises
-    coordinate i to its bound, then i+1, and so on cyclically, runs from
-    node 0 to the sink over arcs of ``g``, and no two chains share an
-    internal node.  Both read ``g.arcs`` as strictly increasing, which
-    ``DivisorGraph`` documents and one pass checks first, so the source's
-    arcs are one slice and each chain arc is found by bisection.  Raises
-    ``ValueError`` when a check fails, which only a hand-built graph or a
-    faulty graph builder can cause; ``scan`` reports it as a
-    counterexample.
+    omega arcs leave node 0; with the nodes in lexicographic order, their
+    heads, largest first, are the index steps of coordinates 0, 1, ....
+    Lower bound: for each coordinate i, the chain that raises coordinate i
+    to its bound, then i+1, and so on cyclically, runs from node 0 to the
+    sink over arcs of ``g``, and no two chains share an internal node.  The
+    steps are ``g.arcs.rows[0]`` reversed, which is checked to be strictly
+    ascending first, and each chain arc is looked up in its tail's row,
+    which holds at most omega heads.  Raises ``ValueError`` when a check
+    fails, which only a hand-built graph or a faulty graph builder can
+    cause; ``scan`` reports it as a counterexample.
     """
     if g.kind is not GraphKind.HASSE:
         raise ValueError("max_disjoint_paths expects a Hasse diagram")
@@ -84,23 +81,24 @@ def max_disjoint_paths(g: DivisorGraph) -> int:
     w = len(bounds)
     if n != order(bounds):  # order also refuses bounds that are not positive integers
         raise ValueError(f"{n} nodes do not match the bounds {bounds!r}")
-    arcs = g.arcs
-    if not all(map(operator.lt, arcs, itertools.islice(arcs, 1, None))):
+    rows = g.arcs.rows
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} arc rows do not match {n} nodes")
+    if rows[0] != sorted(set(rows[0])):
         raise ValueError("the arcs are not strictly increasing")
-    source_arcs = arcs[bisect_left(arcs, (0,)) : bisect_left(arcs, (1,))]  # heads ascending
-    steps = [b for a, b in reversed(source_arcs)]
+    steps = rows[0][::-1]
     if len(steps) != w:
         raise ValueError(f"the source does not have exactly {w} out-arcs")
     seen: set[int] = set()
     for i in range(w):
         v = 0
         for k in (*range(i, w), *range(i)):
+            step = steps[k]
             for _ in range(bounds[k]):
-                arc = (v, v + steps[k])
-                j = bisect_left(arcs, arc)
-                if j == len(arcs) or arcs[j] != arc:
-                    raise ValueError(f"chain {i} misses the arc {arc}")
-                v += steps[k]
+                u = v + step
+                if u >= n or u not in rows[v]:  # a head past the sink has no row
+                    raise ValueError(f"chain {i} misses the arc ({v}, {u})")
+                v = u
                 if v in seen:
                     raise ValueError(f"two chains share node {v}")
                 if v != n - 1:

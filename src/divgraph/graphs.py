@@ -5,14 +5,15 @@ coordinate order).  Nodes are all exponent vectors below the bounds, in
 lexicographic order; node 0 is the all-zero source and the last node is the
 sink.  Two kinds are supported: the Hasse diagram (covering relation, arcs
 raise one coordinate by one) and the transitive closure (every dominated
-pair).  Graphs are immutable once built.  ``level_profile`` reads everything
-the oracle needs from a Hasse diagram (levels, per-level counts, degrees and
-longest distances from the source) in one pass over its arcs, once per graph.
+pair).  Arcs are stored as ``kernels.Arcs``: one ascending list of heads per
+tail, with no tuple per arc.  Graphs are immutable once built.
+``level_profile`` reads everything the oracle needs from a Hasse diagram
+(levels, per-level counts, degrees, longest distances from the source and
+the level steps across arcs) in one pass over its rows, once per graph.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +24,7 @@ from divgraph.errors import BudgetError
 from divgraph.signatures import Factorization
 
 DEFAULT_NODE_BUDGET = 10**6
-DEFAULT_ARC_BUDGET = 10**7  # a closure arc: about 86 bytes built, 30 more as JSON, 50 as DOT
+DEFAULT_ARC_BUDGET = 10**7  # a closure arc: about 14 bytes built, 40 more as JSON, 50 as DOT
 
 ExponentVector = tuple[int, ...]
 
@@ -36,14 +37,14 @@ class GraphKind(Enum):
 @dataclass(frozen=True)
 class DivisorGraph:
     """Nodes in lexicographic order, so every arc goes from a lower index to
-    a higher one; arcs sorted by tail, then head.  The oracle's forward
-    passes over ``arcs`` rely on that order: all arcs into a node come
-    before any arc out of it."""
+    a higher one; ``arcs.rows[i]`` holds node i's heads, ascending.  The
+    oracle's forward passes over the rows rely on that order: all arcs into
+    a node come before any arc out of it."""
 
     signature: tuple[int, ...]
     kind: GraphKind
     nodes: list[ExponentVector] = field(repr=False)
-    arcs: list[tuple[int, int]] = field(repr=False)
+    arcs: kernels.Arcs = field(repr=False)
 
     @property
     def source(self) -> int:
@@ -70,13 +71,21 @@ class DivisorGraph:
         outdeg = [0] * n
         longest = [-1] * n
         longest[0] = 0
-        for a, b in self.arcs:
-            arc_counts[levels[a]] += 1
-            outdeg[a] += 1
-            indeg[b] += 1
-            if longest[a] + 1 > longest[b]:
-                longest[b] = longest[a] + 1
-        return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, longest)
+        steps: set[int] = set()
+        add_step = steps.add
+        for a, row in enumerate(self.arcs.rows):
+            if not row:
+                continue
+            la = levels[a]
+            outdeg[a] = len(row)
+            arc_counts[la] += len(row)
+            d = longest[a] + 1
+            for b in row:
+                indeg[b] += 1
+                if d > longest[b]:
+                    longest[b] = d
+                add_step(levels[b] - la)
+        return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, longest, steps)
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,7 @@ class LevelProfile:
     indeg: list[int]
     outdeg: list[int]
     longest: list[int]  # most arcs from node 0; -1 if unreached
+    steps: set[int]  # level differences across arcs, head minus tail
 
 
 def build_graph(
@@ -120,15 +130,17 @@ def build_graph(
 
 
 def level_profile(g: DivisorGraph) -> LevelProfile:
-    """Levels, per-level counts, degrees and longest distances of a Hasse diagram.
+    """Levels, per-level counts, degrees, longest distances and level steps
+    of a Hasse diagram.
 
-    One pass over ``g.arcs`` counts arcs by the level of their tail, counts
-    degrees, and pushes the longest arc distance from node 0 forward, which
-    needs the tail order that ``DivisorGraph`` documents.
+    One pass over the rows of ``g.arcs`` counts arcs by the level of their
+    tail, counts degrees, collects the level difference across each arc,
+    and pushes the longest arc distance from node 0 forward, which needs
+    the tail order that ``DivisorGraph`` documents.
     Levels are exponent sums read off ``g.nodes`` and the top level is the
     highest of them, never a formula of the signature.  The pass runs once
-    per graph: later calls return the same profile, whose lists the caller
-    must not change.
+    per graph: later calls return the same profile, whose lists and set
+    the caller must not change.
     """
     return g._profile
 
@@ -148,14 +160,20 @@ def divisor_value(v: ExponentVector, f: Factorization) -> int:
 def to_dot(g: DivisorGraph) -> str:
     """DOT rendering; node labels are the exponent vectors joined by spaces.
 
-    The arc lines are one fill of a repeated template over the flattened
-    arc tuples, so no string is made per arc.
+    Each node's arc lines are one fill of a repeated template over its row,
+    so no string is made per arc, and every piece is joined once.
     """
-    nodes = "".join([f'  v{i} [label="{" ".join(map(str, v))}"];\n' for i, v in enumerate(g.nodes)])
-    arcs = "  v%d -> v%d;\n" * len(g.arcs) % tuple(itertools.chain.from_iterable(g.arcs))
-    return f"digraph {g.kind.value} {{\n{nodes}{arcs}}}\n"
+    lines = [f'  v{i} [label="{" ".join(map(str, v))}"];\n' for i, v in enumerate(g.nodes)]
+    lines += [f"  v{i} -> v%d;\n" * len(row) % tuple(row) for i, row in enumerate(g.arcs.rows)]
+    return "".join([f"digraph {g.kind.value} {{\n", *lines, "}\n"])
 
 
 def to_json(g: DivisorGraph) -> str:
-    """One ``json.dumps`` of the graph's own tuples, which it writes as arrays."""
-    return json.dumps({"signature": g.signature, "kind": g.kind.value, "nodes": g.nodes, "arcs": g.arcs})
+    """``json.dumps`` of the signature, kind and node tuples, with the arc
+    pairs filled into one repeated template per row and joined in place of
+    an empty arc array."""
+    head = json.dumps({"signature": g.signature, "kind": g.kind.value, "nodes": g.nodes, "arcs": []})
+    rows = [f"[{i}, %d], " * len(row) % tuple(row) for i, row in enumerate(g.arcs.rows) if row]
+    if rows:
+        rows[-1] = rows[-1][:-2]  # no separator after the last pair
+    return "".join([head[:-2], *rows, "]}"])

@@ -1,10 +1,10 @@
 """Brute-force measurement of invariants on explicitly built graphs.
 
 Ground truth for the formulas in divgraph.invariants: everything here is
-read off the node and arc lists by counting, bucketing, and path DP, never
-by formula.  Levels, counts, degrees and longest distances from the source
-come from one pass, ``graphs.level_profile``; path counts from one forward
-push over the arcs.
+read off the nodes and the arc rows by counting, bucketing, and path DP,
+never by formula.  Levels, counts, degrees, longest distances from the
+source and level steps come from one pass, ``graphs.level_profile``; path
+counts from one forward push over the rows.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from divgraph.invariants import InvariantRecord
 def count_paths(g: DivisorGraph) -> int:
     """Number of distinct source-to-sink paths, by one forward push.
 
-    Arcs come sorted by tail and every arc goes low to high, so each node's
-    count is final before any of its leaving arcs is read.
+    Rows come in tail order and every arc goes low to high, so each node's
+    count is final before ``zip`` reads it and pushes it along its row.
     """
     counts = [0] * len(g.nodes)
     counts[0] = 1
-    for a, b in g.arcs:
-        counts[b] += counts[a]
+    for c, row in zip(counts, g.arcs.rows):
+        for h in row:
+            counts[h] += c
     return counts[-1]
 
 
@@ -89,11 +90,11 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
     n = len(g.nodes)
     w = len(g.signature)
     profile = level_profile(g)
-    node_counts, arc_counts, levels = profile.node_counts, profile.arc_counts, profile.levels
+    node_counts, arc_counts = profile.node_counts, profile.arc_counts
     indeg, outdeg = profile.indeg, profile.outdeg
     omega_total = len(node_counts) - 1
     # level differences across arcs: 1 for a cover, odd across the bipartition
-    steps = {levels[b] - levels[a] for a, b in g.arcs}
+    steps = profile.steps
 
     level_symmetry = all(
         node_counts[l] == node_counts[omega_total - l] for l in range(omega_total + 1)

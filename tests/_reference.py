@@ -12,6 +12,8 @@ slice assignment, by recursion instead of from earlier partition grades,
 or row by row through ``SequenceEntry`` objects instead of over a table's
 columns.
 ``factorization_value`` multiplies a factorization back out, to check it.
+``arcs_from_pairs`` builds the rows of a hand-made or tampered graph from
+``(tail, head)`` pairs.
 ``to_dot_by_lines`` and ``to_json_by_lists`` serialize a graph with one
 string or one list per node and per arc, to check the library's output
 byte for byte.
@@ -31,6 +33,7 @@ from divgraph.conjectures import DisjointMode
 from divgraph.errors import BFileFormatError
 from divgraph.graphs import DivisorGraph, GraphKind
 from divgraph.invariants import level_node_counts
+from divgraph.kernels import Arcs
 from divgraph.sequences import EmitFormat, MatchReport, Ordering, SequenceTable
 from divgraph.signatures import INT_BOUND, SignatureOrder, as_signature, signature_key
 
@@ -249,6 +252,16 @@ def _trial_candidates():
     while True:
         yield c
         c += 2
+
+
+def arcs_from_pairs(pairs, n: int) -> Arcs:
+    """``Arcs`` with ``n`` rows, each pair's head appended to its tail's row
+    in the order given, so a hand-built graph can break the ascending order
+    that the kernels keep."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        rows[a].append(b)
+    return Arcs(rows)
 
 
 def closure_arcs_by_strides(bounds: tuple[int, ...]) -> list[tuple[int, int]]:

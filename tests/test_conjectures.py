@@ -15,9 +15,15 @@ from divgraph.conjectures import (
 )
 from divgraph.graphs import GraphKind, build_graph
 from divgraph.invariants import width_nodes
+from divgraph.kernels import Arcs
 from divgraph.signatures import partitions_of
 
-from _reference import max_disjoint_paths_by_flow
+from _reference import arcs_from_pairs, max_disjoint_paths_by_flow
+
+
+def _without_last_arc(arcs):
+    """The arcs of a faulty kernel that drops the last one."""
+    return arcs_from_pairs(list(arcs)[:-1], len(arcs.rows))
 
 
 def _brute_force_disjoint(sig, mode):
@@ -108,7 +114,7 @@ class TestMaxDisjointPaths:
             ),
             pytest.param(
                 (2, 1, 1),
-                lambda g: {"arcs": sorted(g.arcs + [(0, 3)])},
+                lambda g: {"arcs": sorted([*g.arcs, (0, 3)])},
                 "the source does not have exactly 3 out-arcs",
                 id="extra-source-arc",
             ),
@@ -117,6 +123,20 @@ class TestMaxDisjointPaths:
                 lambda g: {"nodes": g.nodes[:-1]},
                 "11 nodes do not match the bounds (2, 1, 1)",
                 id="node-count-mismatch",
+            ),
+            pytest.param(
+                (2, 1, 1),
+                lambda g: {"arcs": Arcs(g.arcs.rows[:-1])},
+                "11 arc rows do not match 12 nodes",
+                id="row-count-mismatch",
+            ),
+            # the source's heads 1, 2, 8 give chain 0 the step 8 from node 8,
+            # to a head past the sink 11 that a hand-built row may still hold
+            pytest.param(
+                (2, 1, 1),
+                lambda g: {"arcs": sorted({*g.arcs} - {(0, 4)} | {(0, 8), (8, 16)})},
+                "chain 0 misses the arc (8, 16)",
+                id="head-past-the-sink",
             ),
             # a lone chain meets no other, so only the node-count check catches this
             pytest.param(
@@ -149,7 +169,7 @@ class TestMaxDisjointPaths:
             # this message shows the order check runs before any chain is walked
             pytest.param(
                 (2, 1, 1),
-                lambda g: {"arcs": [g.arcs[0], g.arcs[2], g.arcs[1], *g.arcs[3:]]},
+                lambda g: {"arcs": [(0, 1), (0, 4), (0, 2), *list(g.arcs)[3:]]},
                 "the arcs are not strictly increasing",
                 id="arcs-out-of-order",
             ),
@@ -157,7 +177,10 @@ class TestMaxDisjointPaths:
     )
     def test_tampered_graph_raises(self, bounds, tamper, message):
         g = build_graph(bounds, GraphKind.HASSE)
-        bad = dataclasses.replace(g, **tamper(g))
+        changes = tamper(g)
+        if isinstance(changes.get("arcs"), list):  # pairs, appended to the rows in their order
+            changes["arcs"] = arcs_from_pairs(changes["arcs"], len(g.nodes))
+        bad = dataclasses.replace(g, **changes)
         with pytest.raises(ValueError, match=re.escape(message)):
             max_disjoint_paths(bad)
 
@@ -241,7 +264,7 @@ class TestScan:
         for faulty in (False, True):
             if faulty:
                 hasse_arcs = kernels.hasse_arcs
-                monkeypatch.setattr(kernels, "hasse_arcs", lambda bounds: hasse_arcs(bounds)[:-1])
+                monkeypatch.setattr(kernels, "hasse_arcs", lambda bounds: _without_last_arc(hasse_arcs(bounds)))
             reports = [scan(1, sigs, modes=modes, node_budget=100).to_dict() for modes in mode_sets]
             for report in reports:
                 report.pop("elapsed_seconds")
@@ -323,7 +346,7 @@ class TestScan:
     def test_failed_certificate_is_a_counterexample(self, monkeypatch, capsys):
         # a kernel that drops the last arc builds diagrams that fail the certificate
         hasse_arcs = kernels.hasse_arcs
-        monkeypatch.setattr(kernels, "hasse_arcs", lambda bounds: hasse_arcs(bounds)[:-1])
+        monkeypatch.setattr(kernels, "hasse_arcs", lambda bounds: _without_last_arc(hasse_arcs(bounds)))
         report = scan(1, [(1,), (2, 1)])
         assert report.checked == 2 and report.skipped == []
         assert report.to_dict()["counterexamples"] == [

@@ -12,6 +12,7 @@ from _reference import closure_arcs_by_strides
 from divgraph import _kernels_py, kernels
 from divgraph.errors import BudgetError
 from divgraph.graphs import GraphKind, build_graph
+from divgraph.invariants import closure_size, hasse_size
 from divgraph.signatures import partitions_of
 
 CASES = [
@@ -69,9 +70,28 @@ def dominance_scan(bounds):
     return arcs
 
 
+def cover_scan(bounds):
+    """Reference Hasse diagram: for each node, the index of every node that
+    raises one coordinate by one, looked up by vector, heads sorted."""
+    nodes = _kernels_py.enumerate_nodes(bounds)
+    index = {v: i for i, v in enumerate(nodes)}
+    arcs = []
+    for i, v in enumerate(nodes):
+        ups = (v[:k] + (x + 1,) + v[k + 1 :] for k, x in enumerate(v))
+        arcs.extend((i, j) for j in sorted(index[u] for u in ups if u in index))
+    return arcs
+
+
+def assert_rows(arcs, size):
+    """Every row strictly ascending with heads above their tail, and ``len``
+    the arc count of the formula."""
+    assert all(all(a < b for a, b in zip([tail, *row], row)) for tail, row in enumerate(arcs.rows))
+    assert len(arcs) == size
+
+
 @pytest.mark.parametrize("bounds", CASES + PARTITION_BOUNDS, ids=str)
 def test_closure_arcs_equal_dominance_scan(bounds):
-    assert kernels.closure_arcs(bounds) == dominance_scan(bounds)
+    assert list(kernels.closure_arcs(bounds)) == dominance_scan(bounds)
 
 
 def test_compositions_are_every_coordinate_order():
@@ -82,7 +102,29 @@ def test_compositions_are_every_coordinate_order():
 
 @pytest.mark.parametrize("bounds", COMPOSITIONS + LARGE_BOUNDS, ids=str)
 def test_closure_arcs_equal_stride_kernel(bounds):
-    assert kernels.closure_arcs(bounds) == closure_arcs_by_strides(bounds)
+    arcs = kernels.closure_arcs(bounds)
+    assert list(arcs) == closure_arcs_by_strides(bounds)
+    assert_rows(arcs, closure_size(bounds))
+
+
+@pytest.mark.parametrize("bounds", COMPOSITIONS + LARGE_BOUNDS, ids=str)
+def test_hasse_arcs_equal_cover_scan(bounds):
+    arcs = kernels.hasse_arcs(bounds)
+    assert list(arcs) == cover_scan(bounds)
+    assert_rows(arcs, hasse_size(bounds))
+
+
+def test_closure_rows_keep_under_24_bytes_per_arc():
+    # one int pointer per arc in its row; the shifted ints are shared
+    # between up-sets (a tuple per arc kept about 71 bytes)
+    tracemalloc.start()
+    try:
+        arcs = kernels.closure_arcs((6, 5, 4, 2, 1))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(arcs) == 157_500
+    assert kept < 24 * len(arcs)
 
 
 def test_backend_reported():
