@@ -5,8 +5,11 @@ lexicographic order, so every arc (tail, head) satisfies tail < head and
 the index order is already topological.  The arc kernels return ``Arcs``:
 one plain list of heads per tail, ascending, and no tuple per arc.
 Neither kernel scans node pairs: a Hasse head is the tail's index plus one
-coordinate's stride, and a closure tail's heads are its up-set, built by
-shifting the up-sets of the later coordinates.
+coordinate's stride, appended to the rows by one masked pass per
+coordinate with every arc into a node sharing one int, and a closure
+tail's heads are its up-set, built by shifting the up-sets of the later
+coordinates.  Both keep the per-arc work inside ``map`` and list
+operations, not in Python code.
 
 Each kernel runs with the cyclic garbage collector paused: the lists and
 tuples it builds hold only ints and can form no cycle, yet the full
@@ -18,9 +21,11 @@ depends on it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import itertools
+import math
 from typing import Iterator
 
 
@@ -68,16 +73,11 @@ def _collector_paused(kernel):
     return paused
 
 
-def _nodes(bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic,
-    walked lazily; a node's index is its position in this walk."""
-    return itertools.product(*(range(m + 1) for m in bounds))
-
-
 @_collector_paused
 def enumerate_nodes(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The list of ``_nodes(bounds)``."""
-    return list(_nodes(bounds))
+    """All exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic;
+    a node's index is its position in this list."""
+    return list(itertools.product(*(range(m + 1) for m in bounds)))
 
 
 def _strides(bounds: tuple[int, ...]) -> list[int]:
@@ -121,9 +121,22 @@ def closure_arcs(bounds: tuple[int, ...]) -> Arcs:
 @_collector_paused
 def hasse_arcs(bounds: tuple[int, ...]) -> Arcs:
     """Arcs of the Hasse diagram: bump one coordinate by one, which moves
-    the index by that coordinate's stride.  The nodes are walked with
-    ``_nodes`` without building their list."""
+    the index by that coordinate's stride.
+
+    Node i can bump coordinate k, of bound m and stride s, exactly when
+    i mod (m+1)s < ms, so one byte mask over the nodes marks the tails of
+    coordinate k, and ``compress`` pairs each marked tail's row with the
+    head i + s, read from one list of the node indices.  ``map`` appends
+    the heads, so no Python code runs per arc, and every arc into a node
+    holds that node's one index int.  Coordinates go last first, strides
+    ascending, so each row comes out ascending.
+    """
     strides = _strides(bounds)
-    # coordinates descending give ascending heads in each row
-    ks = [(k, bounds[k], strides[k]) for k in range(len(bounds) - 1, -1, -1)]
-    return Arcs([[i + s for k, m, s in ks if v[k] < m] for i, v in enumerate(_nodes(bounds))])
+    n = math.prod(m + 1 for m in bounds)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    nums = list(range(n))
+    for m, s in zip(reversed(bounds), reversed(strides)):
+        mask = (b"\1" * (m * s) + bytes(s)) * (n // ((m + 1) * s))
+        heads = itertools.compress(itertools.islice(nums, s, None), mask)
+        collections.deque(map(list.append, itertools.compress(rows, mask), heads), maxlen=0)
+    return Arcs(rows)

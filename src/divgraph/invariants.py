@@ -65,15 +65,21 @@ def level_node_counts(parts: Iterable[int]) -> list[int]:
 # carry as long as no coefficient reaches 2^B; ``_digit_bytes`` picks B.
 
 
-def _digit_bytes(sigs: Iterable[PrimeSignature]) -> int:
+def _digit_bytes(sigs: list[PrimeSignature]) -> int:
     """Bytes per packed digit for the level polynomials of ``sigs``: at least 8.
 
     A digit must hold w |V| for w parts and |V| nodes: P's coefficients are
     at most |V| and A's at most |E^H| < w |V|, and every partial sum that
     ``_times_h`` and ``_chain_step`` form is at most a final coefficient.
     A prefix of a signature has smaller coefficients, so the largest bound
-    of a list covers every state its prefix walk visits.
+    of a list covers every state its prefix walk visits.  A signature of
+    sum Omega has w <= Omega parts and |V| <= 2^Omega nodes, as m + 1 <= 2^m,
+    so when the largest Omega of the list has Omega 2^Omega < 2^64, 8 bytes
+    hold every digit and no product per signature is taken.
     """
+    top = max(map(sum, sigs))
+    if top << top < 1 << 64:
+        return 8
     bound = max(len(sig) * math.prod(m + 1 for m in sig) for sig in sigs)
     return max(8, -(-bound.bit_length() // 8))
 

@@ -53,6 +53,9 @@ def compositions(k):
 # and the two largest corpus shapes, the second in both coordinate orders
 COMPOSITIONS = [c for k in range(1, 10) for c in compositions(k)]
 LARGE_BOUNDS = [(1,) * 12, (2, 2) + (1,) * 9, (1,) * 9 + (2, 2)]
+# Hasse shapes with one long coordinate first, last or alone, and the
+# longest run of 1s that the cover scan checks quickly
+HASSE_BOUNDS = [(300,), (1, 50, 1), (7, 2, 9), (1,) * 14]
 
 
 def dominance_scan(bounds):
@@ -107,11 +110,19 @@ def test_closure_arcs_equal_stride_kernel(bounds):
     assert_rows(arcs, closure_size(bounds))
 
 
-@pytest.mark.parametrize("bounds", COMPOSITIONS + LARGE_BOUNDS, ids=str)
+@pytest.mark.parametrize("bounds", COMPOSITIONS + LARGE_BOUNDS + HASSE_BOUNDS, ids=str)
 def test_hasse_arcs_equal_cover_scan(bounds):
     arcs = kernels.hasse_arcs(bounds)
     assert list(arcs) == cover_scan(bounds)
     assert_rows(arcs, hasse_size(bounds))
+
+
+@pytest.mark.parametrize("bounds", [(1,) * 12, (6, 5, 4, 2, 1)], ids=str)
+def test_hasse_arcs_into_a_node_share_one_head(bounds):
+    # every node but the source has an arc in, and all of them hold one int
+    arcs = kernels.hasse_arcs(bounds)
+    heads = [head for row in arcs.rows for head in row]
+    assert len({id(head) for head in heads}) == len(set(heads)) == len(arcs.rows) - 1
 
 
 def test_closure_rows_keep_under_24_bytes_per_arc():
@@ -127,6 +138,19 @@ def test_closure_rows_keep_under_24_bytes_per_arc():
     assert kept < 24 * len(arcs)
 
 
+def test_hasse_rows_keep_under_36_bytes_per_arc():
+    # one pointer per arc in its row plus a row list per node; the head
+    # ints are shared by all arcs into a node (an int per arc kept 51.6)
+    tracemalloc.start()
+    try:
+        arcs = kernels.hasse_arcs((1,) * 12)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(arcs) == 24_576
+    assert kept < 36 * len(arcs)
+
+
 def test_backend_reported():
     assert kernels.active_backend() == "pure"
 
@@ -138,8 +162,9 @@ def test_pure_enumeration_is_lexicographic():
 
 
 def test_hasse_build_allocates_one_node_list():
-    # build_graph keeps one node list; the Hasse kernel walks the nodes
-    # without building a second, so what the build frees again is small
+    # build_graph keeps one node list; the Hasse kernel builds no node
+    # tuples, only a list of node indices whose ints the rows keep, so what
+    # the build frees again is small
     bounds = (19, 14, 9)
     tracemalloc.start()
     try:
