@@ -51,7 +51,7 @@ def level_node_counts(parts: Iterable[int]) -> list[int]:
     P is folded packed, one ``_times_h`` per part, and unpacked once.
     """
     sig = as_signature(parts)
-    size = _digit_bytes([sig])
+    size = _digit_bytes([sig], sum(sig))
     width = 8 * size
     poly = 1
     for m in sig:
@@ -65,8 +65,9 @@ def level_node_counts(parts: Iterable[int]) -> list[int]:
 # carry as long as no coefficient reaches 2^B; ``_digit_bytes`` picks B.
 
 
-def _digit_bytes(sigs: list[PrimeSignature]) -> int:
-    """Bytes per packed digit for the level polynomials of ``sigs``: at least 8.
+def _digit_bytes(sigs: list[PrimeSignature], top: int) -> int:
+    """Bytes per packed digit for the level polynomials of ``sigs``, whose
+    largest Omega is ``top``: at least 8.
 
     A digit must hold w |V| for w parts and |V| nodes: P's coefficients are
     at most |V| and A's at most |E^H| < w |V|, and every partial sum that
@@ -74,10 +75,9 @@ def _digit_bytes(sigs: list[PrimeSignature]) -> int:
     A prefix of a signature has smaller coefficients, so the largest bound
     of a list covers every state its prefix walk visits.  A signature of
     sum Omega has w <= Omega parts and |V| <= 2^Omega nodes, as m + 1 <= 2^m,
-    so when the largest Omega of the list has Omega 2^Omega < 2^64, 8 bytes
-    hold every digit and no product per signature is taken.
+    so when ``top`` 2^``top`` < 2^64, 8 bytes hold every digit and no
+    product per signature is taken.
     """
-    top = max(map(sum, sigs))
     if top << top < 1 << 64:
         return 8
     bound = max(len(sig) * math.prod(m + 1 for m in sig) for sig in sigs)
@@ -108,6 +108,7 @@ def _times_h(value: int, m: int, width: int) -> int:
 
 def _prefix_column(
     sigs: list[PrimeSignature],
+    top: int,
     root: object,
     extend: Callable[[object, int], object],
     read: Callable[[int, object], int],
@@ -118,7 +119,7 @@ def _prefix_column(
     signature it holds the one without its smallest part.  Graded-order
     prefixes and the class signatures of ``natural_classes`` both are.  The
     walk starts at () with state ``root`` and appends parts that do not
-    increase, up to the largest Omega in ``sigs``; a child's state is
+    increase, up to ``top``, the largest Omega in ``sigs``; a child's state is
     ``extend(state, part)`` of its parent's, and ``read(Omega, state)`` is
     its value, written in its row.  Only the states on the stack are kept,
     and siblings share their parent's, so ``extend`` must not change it:
@@ -126,7 +127,6 @@ def _prefix_column(
     builds a new list.
     """
     values = dict.fromkeys(sigs)  # insertion order is row order
-    top = max(map(sum, sigs))
     stack = [((), 0, root)]
     while stack:
         sig, omega, state = stack.pop()
@@ -149,12 +149,12 @@ def _level_chain(parts: Iterable[int]) -> tuple[list[int], list[int]]:
     """(node counts, leaving-arc counts) by level: ``_chain_step`` folded
     over the parts on packed (P, A), then both unpacked once."""
     sig = as_signature(parts)
-    size = _digit_bytes([sig])
+    omega = sum(sig)
+    size = _digit_bytes([sig], omega)
     width = 8 * size
     state = (1, 0)
     for m in sig:
         state = _chain_step(state, m, width)
-    omega = sum(sig)
     return _unpack(state[0], omega + 1, size), _unpack(state[1], omega, size)
 
 
@@ -198,10 +198,12 @@ def width_arcs(parts: Iterable[int]) -> int:
 
 def _node_width_column(sigs: list[PrimeSignature]) -> list[int]:
     """W_v over ``sigs`` by ``_prefix_column``, carrying packed P."""
-    size = _digit_bytes(sigs)
+    top = max(map(sum, sigs))
+    size = _digit_bytes(sigs, top)
     width = 8 * size
     return _prefix_column(
         sigs,
+        top,
         1,
         lambda poly, m: _times_h(poly, m, width),
         lambda omega, poly: _middle_nodes(omega, _unpack(poly, omega + 1, size)),
@@ -210,10 +212,12 @@ def _node_width_column(sigs: list[PrimeSignature]) -> list[int]:
 
 def _arc_width_column(sigs: list[PrimeSignature]) -> list[int]:
     """W_e over ``sigs`` by ``_prefix_column``, carrying packed (P, A)."""
-    size = _digit_bytes(sigs)
+    top = max(map(sum, sigs))
+    size = _digit_bytes(sigs, top)
     width = 8 * size
     return _prefix_column(
         sigs,
+        top,
         (1, 0),
         lambda state, m: _chain_step(state, m, width),
         lambda omega, state: _middle_arcs(omega, _unpack(state[1], omega, size)),
@@ -311,7 +315,7 @@ def _closure_paths_column(sigs: list[PrimeSignature]) -> list[int]:
     def read(omega: int, multichains: list[int]) -> int:
         return sum(map(mul, weights[omega], multichains)) if omega else 1
 
-    return _prefix_column(sigs, [1] * top, extend, read)
+    return _prefix_column(sigs, top, [1] * top, extend, read)
 
 
 def _closure_weights(total: int) -> list[int]:

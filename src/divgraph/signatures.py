@@ -41,16 +41,21 @@ class SignatureOrder(Enum):
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-_MR_BASES = _SMALL_PRIMES[:12]  # 2, 3, ..., 37
+#: psi_k for k = 1..11, the least strong pseudoprime to the first k prime
+#: bases (OEIS A014233); see ``_is_prime``.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051)
 
 
 def factorize(n: int) -> Factorization:
     """Prime factorization of ``n`` as ((p1, m1), (p2, m2), ...) with p1 < p2 < ...
 
     Trial division by the primes below 100, then deterministic Miller–Rabin
-    on the bases 2, 3, ..., 37 to test each cofactor, which is exact for
-    n < 3.3·10^24 (Sorenson and Webster, Math. Comp. 86, 2017), so for every
-    n up to ``INT_BOUND``; composites are split by Brent's variant of
+    to test each cofactor, on as many of the prime bases 2, 3, ..., 37 as
+    its size needs (see ``_is_prime``); all twelve are exact for
+    n < 3.18·10^23 (Sorenson and Webster, Math. Comp. 86, 2017), so for
+    every n up to ``INT_BOUND``.  Composites are split by Brent's variant of
     Pollard's rho (Brent, BIT 20, 1980).  ``n`` is checked against
     ``INT_BOUND`` up front.
     """
@@ -80,15 +85,23 @@ def factorize(n: int) -> Factorization:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller–Rabin on the first twelve prime bases: exact for n < 3.3·10^24.
+    """Miller–Rabin on the first k prime bases, k the least with n < psi_k.
 
-    ``n`` has no prime factor below 100, as ``factorize`` leaves it.
+    psi_k is the least strong pseudoprime to the first k prime bases, so
+    every odd n < psi_k that passes those k rounds is prime: psi_1..psi_4
+    are from Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980),
+    psi_5..psi_8 from Jaeschke (Math. Comp. 61, 1993) and psi_9..psi_11 from
+    Jiang and Deng (Math. Comp. 83, 2014).  The base count thus follows the
+    size of n: one base below 2047, and all twelve (2 to 37, exact for
+    n < 3.18·10^23) from psi_11 = 3825123056546413051 up.  ``n`` has no
+    prime factor below 100, as ``factorize`` leaves it, so every base is
+    below n.
     """
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES[:bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

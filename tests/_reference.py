@@ -4,9 +4,10 @@ Each recomputes a quantity that divgraph computes another way: by a
 recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
 certificate, by trial division instead of Miller–Rabin and Pollard's rho,
-by stride-offset sums instead of shifted up-sets, by polynomial
-convolution or by list running sums instead of packed shifted adds, by
-lowered rank sequences instead of the arc-count recurrence, by the largest
+by all twelve Miller–Rabin bases instead of as many as the size needs, by
+stride-offset sums instead of shifted up-sets, by polynomial convolution
+or by list running sums instead of packed shifted adds, by lowered rank
+sequences instead of the arc-count recurrence, by the largest
 level instead of the proven peak level, by a loop per multiple instead of
 slice assignment, by recursion instead of from earlier partition grades,
 or row by row through ``SequenceEntry`` objects instead of over a table's
@@ -252,6 +253,33 @@ def _trial_candidates():
     while True:
         yield c
         c += 2
+
+
+#: The first twelve primes, whose Miller–Rabin rounds together are exact for
+#: every n < psi_12 = 318665857834031151167461 (Sorenson and Webster, 2017).
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd ``n`` > ``a`` passes the Miller–Rabin round of base ``a``:
+    a^d = 1 or a^(d 2^r) = -1 mod n for some r < s, where n - 1 = d 2^s, d odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_by_twelve_bases(n: int) -> bool:
+    """Primality of the odd ``n`` > 37 by Miller–Rabin on all of ``TWELVE_BASES``."""
+    return all(is_strong_probable_prime(n, a) for a in TWELVE_BASES)
 
 
 def arcs_from_pairs(pairs, n: int) -> Arcs:

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divgraph import cli, conjectures, graphs, kernels, sequences, signatures
+from divgraph import cli, conjectures, graphs, invariants, kernels, sequences, signatures
 from divgraph.cli import main
 from divgraph.signatures import SIZE_BUDGET
 
@@ -24,6 +24,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def closure_paths_memo():
+    """|P^T| by (signature, omega budget), kept for the whole module."""
+    return {}
+
+
+@pytest.fixture
+def shared_closure_paths(monkeypatch, closure_paths_memo):
+    """Route ``invariants.closure_paths`` through ``closure_paths_memo``, so
+    cases that differ only in output format compute a costly |P^T| once."""
+    compute = invariants.closure_paths
+
+    def memoized(parts, *, omega_budget=invariants.DEFAULT_OMEGA_BUDGET):
+        key = (tuple(parts), omega_budget)
+        if key not in closure_paths_memo:
+            closure_paths_memo[key] = compute(parts, omega_budget=omega_budget)
+        return closure_paths_memo[key]
+
+    monkeypatch.setattr(invariants, "closure_paths", memoized)
 
 
 class TestInvariants:
@@ -126,6 +147,7 @@ class TestInvariants:
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
     )
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.usefixtures("shared_closure_paths")
     def test_integers_past_the_digit_limit_print_exactly(self, capsys, fmt):
         limit = sys.get_int_max_str_digits()
         argv = ("invariants", "--sig", "14290", "--omega-budget", "20000", "--format", fmt)

@@ -181,14 +181,14 @@ class TestPackedFolds:
     def test_digit_width_holds_parts_times_nodes(self, sig, size):
         # a digit holds w |V|: 58 * 2^58 < 2^64 <= 59 * 2^59; a single long
         # part needs small digits, but many of them
-        assert invariants._digit_bytes([sig]) == size
+        assert invariants._digit_bytes([sig], sum(sig)) == size
         _assert_rows_equal_running_sums(sig)
         _assert_columns_equal_prefix_widths(sig)
 
     def test_column_width_comes_from_the_largest_bound(self):
         ones = [(1,) * k for k in range(60)]
-        assert invariants._digit_bytes(ones[:59]) == 8
-        assert invariants._digit_bytes(ones) == invariants._digit_bytes(ones[::-1]) == 9
+        assert invariants._digit_bytes(ones[:59], 58) == 8
+        assert invariants._digit_bytes(ones, 59) == invariants._digit_bytes(ones[::-1], 59) == 9
 
 
 class TestWidths:

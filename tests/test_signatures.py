@@ -1,6 +1,8 @@
 """Factorization, signatures, partitions, and the two signature orders."""
 
+import bisect
 import math
+import random
 import time
 from functools import lru_cache
 
@@ -9,6 +11,9 @@ from hypothesis import given, strategies as st
 
 from divgraph.errors import BudgetError
 from divgraph.signatures import (
+    _PSI,
+    _is_prime,
+    INT_BOUND,
     SIZE_BUDGET,
     SignatureOrder,
     as_signature,
@@ -28,8 +33,11 @@ from divgraph.signatures import (
 )
 
 from _reference import (
+    TWELVE_BASES,
     factorization_value,
     factorize_by_trial_division,
+    is_prime_by_twelve_bases,
+    is_strong_probable_prime,
     partitions_by_recursion,
     signatures_by_recursion,
     spf_sieve_by_loops,
@@ -72,9 +80,15 @@ HARD_CASES = [
     (3037000453 * 3037000493, ((3037000453, 1), (3037000493, 1))),  # balanced semiprime
     ((2**31 - 1) ** 2, ((2**31 - 1, 2),)),
     (2097143**3, ((2097143, 3),)),
-    # strong pseudoprime to every prime base 2..23
+    # psi_k, the least strong pseudoprime to the first k prime bases
+    (1373653, ((829, 1), (1657, 1))),  # psi_2: bases 2, 3
+    (25326001, ((2251, 1), (11251, 1))),  # psi_3: bases 2, 3, 5
+    (3215031751, ((151, 1), (751, 1), (28351, 1))),  # psi_4: bases 2..7
+    (2152302898747, ((6763, 1), (10627, 1), (29947, 1))),  # psi_5: bases 2..11
+    (3474749660383, ((1303, 1), (16927, 1), (157543, 1))),  # psi_6: bases 2..13
+    (341550071728321, ((10670053, 1), (32010157, 1))),  # psi_7 = psi_8: bases 2..19
+    # psi_9 = psi_10 = psi_11: bases 2..31
     (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
-    (3215031751, ((151, 1), (751, 1), (28351, 1))),  # strong pseudoprime to 2, 3, 5, 7
     (561, ((3, 1), (11, 1), (17, 1))),  # Carmichael number
 ]
 
@@ -98,6 +112,49 @@ class TestFactorizeAgainstTrialDivision:
         for n, _ in HARD_CASES:
             factorize(n)
         assert time.perf_counter() - start < 3.0
+
+
+class TestMillerRabinBases:
+    """``_is_prime`` takes the first k bases, k the least with n < psi_k."""
+
+    def test_each_psi_fools_its_first_k_bases_and_no_more(self):
+        # a typo in the table would almost surely fail the first check, and a
+        # base that rejects a number proves it composite
+        for k, psi in enumerate(_PSI, 1):
+            assert all(is_strong_probable_prime(psi, a) for a in TWELVE_BASES[:k]), k
+            assert not all(is_strong_probable_prime(psi, a) for a in TWELVE_BASES[k:]), k
+            assert not _is_prime(psi), k
+
+    def test_twelve_bases_cover_every_n_up_to_int_bound(self):
+        psi_12 = 318_665_857_834_031_151_167_461  # Sorenson and Webster (2017)
+        assert all(is_strong_probable_prime(psi_12, a) for a in TWELVE_BASES)
+        assert len(_PSI) == 11
+        assert list(_PSI) == sorted(_PSI)
+        assert _PSI[-1] < INT_BOUND < psi_12
+
+    def test_equals_sieve_primality_on_every_candidate_up_to_2e5(self):
+        # every odd n in [101, 2e5] with no prime factor below 100: one or
+        # two bases, across psi_1 = 2047
+        spf = spf_sieve_by_loops(200_000)
+        candidates = [n for n in range(101, 200_001, 2) if spf[n] > 97]
+        assert 2047 < candidates[-1]
+        for n in candidates:
+            assert _is_prime(n) == (spf[n] == n), n
+
+    def test_equals_all_twelve_bases_on_random_odd_n_below_2_63(self):
+        rng = random.Random(2014)
+        small = math.prod(p for p, q in enumerate(spf_sieve_by_loops(100)) if p == q > 2)
+        seen = set()
+        for _ in range(20_000):
+            n = rng.getrandbits(rng.randint(7, 63)) | 1
+            if n > 100 and math.gcd(n, small) == 1:
+                prime = _is_prime(n)
+                assert prime == is_prime_by_twelve_bases(n), n
+                seen.add((prime, bisect.bisect_right(_PSI, n) + 1))
+        # both answers at every base count the table gives (1-7, 9 and 12),
+        # except composites below 2047, which all have a prime factor below 100
+        counts = {bisect.bisect_right(_PSI, n) + 1 for n in (0, *_PSI)}
+        assert seen == {(p, k) for p in (False, True) for k in counts} - {(False, 1)}
 
 
 class TestSignatureOf:
