@@ -13,9 +13,10 @@ before the first is built.  All numeric output is full decimal, however
 many digits it has.
 
 Exit codes: 0 success; 1 an error (bad input, budget exceeded, an --out
-that cannot be written) or, for compare, a value mismatch; 2 a command-line
-usage error or, for compare, any failure to compare or to write the report;
-3 a conjecture counterexample was found.
+or a stdout that cannot be written, as when a pipe's reader has exited)
+or, for compare, a value mismatch; 2 a command-line usage error or, for
+compare, any failure to compare or to write the report; 3 a conjecture
+counterexample was found.
 """
 
 from __future__ import annotations
@@ -79,14 +80,21 @@ def _check_positive(flag: str, value: int) -> None:
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
+    to_stdout = out is None or out == "-"
+    try:
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+    except OSError as exc:  # for stdout, say, a pipe whose reader has exited
+        if to_stdout:  # the interpreter flushes stdout again at exit: send that to nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        target = "to stdout" if to_stdout else f"--out {out}"
+        raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 @contextlib.contextmanager

@@ -22,14 +22,15 @@ Conjecture 3: the arcs leaving level l number sum_i N^(i)_l, where N^(i) is
 the rank sequence with m_i lowered by 1; each is symmetric about
 (Omega-1)/2 and unimodal, so the arc counts peak at floor((Omega-1)/2) and
 ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).  The
-check reads node and arc counts from ``invariants._level_chain``, which
-builds both by a recurrence over the parts rather than by that identity,
-on the two polynomials packed into one integer each, and unpacks them
-once; the tests pin both to list running sums, the arc counts to the
-lowered rank sequences, and both to the counts that
-``graphs.level_profile`` reads off built Hasse diagrams.  The
-conjecture 2 scan reads the middle level with ``invariants._middle_nodes``,
-the reader behind W_v, so it checks that reader too.
+checks of conjectures 2 and 3 read node and arc counts from
+``invariants.level_counts``, the one fold behind both widths, which builds
+both by a recurrence over the parts rather than by that identity, on the
+two polynomials packed into one integer each, and unpacks them once; the
+tests pin both to list running sums, the arc counts to the lowered rank
+sequences, and both to the counts that ``graphs.level_profile`` reads off
+built Hasse diagrams.  The conjecture 2 scan reads the middle level with
+``invariants._middle_nodes``, the reader behind W_v, so it checks that
+reader too.
 
 Scans never assert truth; they produce reports, and an empty counterexample
 list is evidence on the scanned range only.
@@ -46,7 +47,7 @@ from typing import Optional, Sequence
 from divgraph import invariants
 from divgraph.errors import BudgetError
 from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
-from divgraph.invariants import _level_chain, level_node_counts, order
+from divgraph.invariants import level_counts, order
 from divgraph.signatures import as_signature
 
 
@@ -124,13 +125,13 @@ def _disjoint_paths_failure(
 
 
 def _middle_width_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
-    counts = level_node_counts(sig)
+    counts, _ = level_counts(sig)
     middle, width = invariants._middle_nodes(len(counts) - 1, counts), max(counts)
     return None if middle == width else (middle, width)
 
 
 def _argmax_failure(sig: tuple[int, ...]) -> Optional[tuple[object, object]]:
-    poly, arc_counts = _level_chain(sig)
+    poly, arc_counts = level_counts(sig)
     node_counts = poly[:-1]  # levels 0..Omega-1
     top_nodes, top_arcs = max(node_counts), max(arc_counts)
     if any(a == top_arcs for v, a in zip(node_counts, arc_counts) if v == top_nodes):

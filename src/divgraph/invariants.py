@@ -5,12 +5,14 @@ ever built.  Every count is an exact integer, however large; the one
 refusal is the omega budget of ``closure_paths``.  ``TABLE`` lists the
 invariants once; the record type, the sequence keys and spellings, and the
 CLI output all derive from it.  Each formula is written once: the level
-polynomial P and the leaving-arc polynomial A are held packed, one
-coefficient per digit of a single integer, and appending a part is a few
-shifted adds (``_times_h`` for P alone, ``_chain_step`` for the pair).
-W_v reads P and W_e reads A at the peak level that conjectures 2 and 3
-prove, after one unpack, with one reader each, shared by the row function
-and its column in ``COLUMNS``.  The brute-force counterpart that measures
+polynomial P and the leaving-arc polynomial A are one state, held packed,
+one coefficient per digit of a single integer, and appending a part is a
+few shifted adds (``_chain_step``).  ``level_counts`` folds that state over
+a signature's parts and the W_v and W_e columns carry it down one walk of
+the partition tree.  W_v reads P and W_e reads A at the peak level that
+conjectures 2 and 3 prove, after one unpack, with one reader each, shared
+by the row function, its column in ``COLUMNS`` and ``all_invariants``,
+which folds once for both.  The brute-force counterpart that measures
 the same quantities on an explicit graph lives in divgraph.oracle.
 """
 
@@ -43,20 +45,6 @@ def hasse_size(parts: Iterable[int]) -> int:
     sig = tuple(parts)
     nodes = order(sig)  # also validates the parts
     return sum(m * (nodes // (m + 1)) for m in sig)
-
-
-def level_node_counts(parts: Iterable[int]) -> list[int]:
-    """|V_l| for l = 0..Omega: coefficients of P(x) = prod_i (1 + x + ... + x^m_i).
-
-    P is folded packed, one ``_times_h`` per part, and unpacked once.
-    """
-    sig = as_signature(parts)
-    size = _digit_bytes([sig], sum(sig))
-    width = 8 * size
-    poly = 1
-    for m in sig:
-        poly = _times_h(poly, m, width)
-    return _unpack(poly, sum(sig) + 1, size)
 
 
 # A packed polynomial is one integer holding coefficient l in bits
@@ -139,15 +127,14 @@ def _prefix_column(
     return list(values.values())
 
 
-def level_arc_counts(parts: Iterable[int]) -> list[int]:
-    """Arcs leaving level l for l = 0..Omega-1 (empty list for Omega = 0);
-    see ``_chain_step``."""
-    return _level_chain(parts)[1]
+def level_counts(parts: Iterable[int]) -> tuple[list[int], list[int]]:
+    """(node counts, leaving-arc counts) by level: |V_l| for l = 0..Omega,
+    the coefficients of P(x) = prod_i (1 + x + ... + x^m_i), and the arcs
+    leaving level l for l = 0..Omega-1 (empty for Omega = 0).
 
-
-def _level_chain(parts: Iterable[int]) -> tuple[list[int], list[int]]:
-    """(node counts, leaving-arc counts) by level: ``_chain_step`` folded
-    over the parts on packed (P, A), then both unpacked once."""
+    ``_chain_step`` is folded over the parts on packed (P, A), and both are
+    unpacked once.
+    """
     sig = as_signature(parts)
     omega = sum(sig)
     size = _digit_bytes([sig], omega)
@@ -185,33 +172,23 @@ def _middle_arcs(omega: int, arcs: list[int]) -> int:
 
 def width_nodes(parts: Iterable[int]) -> int:
     """W_v: largest level by node count, read at its proven peak floor(Omega/2)."""
-    poly = level_node_counts(parts)
-    return _middle_nodes(len(poly) - 1, poly)
+    nodes, _ = level_counts(parts)
+    return _middle_nodes(len(nodes) - 1, nodes)
 
 
 def width_arcs(parts: Iterable[int]) -> int:
     """W_e: largest level by leaving-arc count, read at its proven peak
     floor((Omega-1)/2); 0 for the empty signature."""
-    poly, arcs = _level_chain(parts)
-    return _middle_arcs(len(poly) - 1, arcs)
+    nodes, arcs = level_counts(parts)
+    return _middle_arcs(len(nodes) - 1, arcs)
 
 
-def _node_width_column(sigs: list[PrimeSignature]) -> list[int]:
-    """W_v over ``sigs`` by ``_prefix_column``, carrying packed P."""
-    top = max(map(sum, sigs))
-    size = _digit_bytes(sigs, top)
-    width = 8 * size
-    return _prefix_column(
-        sigs,
-        top,
-        1,
-        lambda poly, m: _times_h(poly, m, width),
-        lambda omega, poly: _middle_nodes(omega, _unpack(poly, omega + 1, size)),
-    )
-
-
-def _arc_width_column(sigs: list[PrimeSignature]) -> list[int]:
-    """W_e over ``sigs`` by ``_prefix_column``, carrying packed (P, A)."""
+def _width_column(
+    sigs: list[PrimeSignature], half: int, read: Callable[[int, list[int]], int]
+) -> list[int]:
+    """A width over ``sigs`` by ``_prefix_column``, carrying packed (P, A):
+    ``read`` applied to P (``half`` 0) or A (``half`` 1), unpacked to
+    Omega + 1 digits; A's top digit is 0."""
     top = max(map(sum, sigs))
     size = _digit_bytes(sigs, top)
     width = 8 * size
@@ -220,7 +197,7 @@ def _arc_width_column(sigs: list[PrimeSignature]) -> list[int]:
         top,
         (1, 0),
         lambda state, m: _chain_step(state, m, width),
-        lambda omega, state: _middle_arcs(omega, _unpack(state[1], omega, size)),
+        lambda omega, state: read(omega, _unpack(state[half], omega + 1, size)),
     )
 
 
@@ -375,14 +352,13 @@ TABLE = (
 #: dropping the smallest part (a graded-order prefix, or the classes of
 #: ``natural_classes``), built in one walk of the partition tree, for the
 #: rows that have one.  Each equals the row function mapped over ``sigs``.
-#: ``Wv`` carries packed P down the walk and ``We`` packed (P, A), each step
-#: the one that ``level_node_counts`` and ``level_arc_counts`` fold, with
-#: digits wide enough for the largest signature of the list; each unpacks
-#: its state and reads it with the same function as ``width_nodes`` and
-#: ``width_arcs``.
+#: ``Wv`` and ``We`` both carry packed (P, A) down the walk, each step the one
+#: that ``level_counts`` folds, with digits wide enough for the largest
+#: signature of the list; each unpacks its half of the state and reads it
+#: with the same function as ``width_nodes`` and ``width_arcs``.
 COLUMNS: dict[str, Callable[[list[PrimeSignature]], list[int]]] = {
-    "Wv": _node_width_column,
-    "We": _arc_width_column,
+    "Wv": lambda sigs: _width_column(sigs, 0, _middle_nodes),
+    "We": lambda sigs: _width_column(sigs, 1, _middle_arcs),
     "PT": _closure_paths_column,
 }
 
@@ -404,15 +380,21 @@ def all_invariants(
 ) -> InvariantRecord:
     """Bundle all fourteen invariants for one signature.
 
-    Each value is its row's function applied to the signature; |P^T| is also
-    given the omega budget, which is checked before any other row runs, so
-    that no level list or factorial is built for an Omega it refuses.
+    Each value is its row's function applied to the signature, except that
+    W_v and W_e are read off one ``level_counts`` fold with the rows'
+    readers, and |P^T| is also given the omega budget.  The budget is
+    checked before any row runs, so that no level list or factorial is
+    built for an Omega it refuses.
     """
     sig = as_signature(parts)
-    _check_omega(sum(sig), omega_budget)
+    omega = sum(sig)
+    _check_omega(omega, omega_budget)
+    nodes, arcs = level_counts(sig)
+    shared = {
+        "Wv": _middle_nodes(omega, nodes),
+        "We": _middle_arcs(omega, arcs),
+        "PT": closure_paths(sig, omega_budget=omega_budget),
+    }
     return InvariantRecord(
-        *(
-            closure_paths(sig, omega_budget=omega_budget) if key == "PT" else func(sig)
-            for key, _, func, _ in TABLE
-        )
+        *(shared[key] if key in shared else func(sig) for key, _, func, _ in TABLE)
     )

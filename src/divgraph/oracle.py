@@ -96,20 +96,6 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
     # level differences across arcs: 1 for a cover, odd across the bipartition
     steps = profile.steps
 
-    level_symmetry = all(
-        node_counts[l] == node_counts[omega_total - l] for l in range(omega_total + 1)
-    )
-    arc_level_symmetry = all(
-        arc_counts[l] == arc_counts[omega_total - l - 1] for l in range(omega_total)
-    )
-    if omega_total >= 1:
-        special_levels = node_counts[1] == node_counts[omega_total - 1] == w
-    else:
-        special_levels = True
-    degree_bounds = all(
-        i <= w and o <= w and i + o <= 2 * w for i, o in zip(indeg, outdeg)
-    )
-
     # Unique source and sink, every arc climbs exactly one level, and the
     # longest source-sink distance equals Omega.  With one source, one sink
     # and one-level steps, every maximal path runs from the source to the
@@ -124,10 +110,10 @@ def verify_structure(g: DivisorGraph) -> StructureReport:
     )
 
     return StructureReport(
-        level_symmetry=level_symmetry,
-        arc_level_symmetry=arc_level_symmetry,
-        special_levels=special_levels,
-        degree_bounds=degree_bounds,
+        level_symmetry=node_counts == node_counts[::-1],
+        arc_level_symmetry=arc_counts == arc_counts[::-1],
+        special_levels=omega_total == 0 or node_counts[1] == node_counts[-2] == w,
+        degree_bounds=max(indeg) <= w and max(outdeg) <= w,  # so degree <= 2 omega
         bipartite_by_parity=all(d % 2 for d in steps),
         uniform_path_length=uniform_path_length,
     )

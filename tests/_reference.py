@@ -33,7 +33,6 @@ from divgraph._kernels_py import _strides, enumerate_nodes
 from divgraph.conjectures import DisjointMode
 from divgraph.errors import BFileFormatError
 from divgraph.graphs import DivisorGraph, GraphKind
-from divgraph.invariants import level_node_counts
 from divgraph.kernels import Arcs
 from divgraph.sequences import EmitFormat, MatchReport, Ordering, SequenceTable
 from divgraph.signatures import INT_BOUND, SignatureOrder, as_signature, signature_key
@@ -395,7 +394,7 @@ def level_arc_counts_by_lowering(parts) -> list[int]:
     multiplicity.
     """
     sig = as_signature(parts)
-    poly = level_node_counts(sig)
+    poly = level_node_counts_by_convolution(sig)
     total = len(poly) - 1
     counts = [0] * total
     for m, mult in Counter(sig).items():
@@ -409,7 +408,7 @@ def level_arc_counts_by_lowering(parts) -> list[int]:
 
 def width_nodes_by_max(parts) -> int:
     """W_v as the largest node count over every level."""
-    return max(level_node_counts(parts))
+    return max(level_node_counts_by_convolution(parts))
 
 
 def width_arcs_by_max(parts) -> int:

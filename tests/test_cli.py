@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -375,6 +376,37 @@ class TestUnwritableOut:
         assert (got, out) == (code, "")
         assert err.startswith("error: ") and str(tmp_path) in err
         assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A stdout whose reader exits before the write, as ``| head`` can, is an
+    error message, not a traceback, and the exit-time flush stays silent."""
+
+    ARGVS = [
+        (["sequence", "--inv", "V", "--count", "100000"], 1),
+        (["graph", "--sig", "6.5.4.2.1", "--kind", "closure"], 1),
+        (["invariants", "--n", "540"], 1),
+        (["conjectures", "--id", "2", "--max-n", "1000"], 1),
+        (["compare", "--inv", "V", "--count", "40", "--bfile", str(DATA / "b000005.txt")], 2),
+    ]
+
+    @pytest.mark.parametrize("argv, code", ARGVS, ids=[argv[0] for argv, _ in ARGVS])
+    def test_error_and_exit_code(self, argv, code):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "divgraph.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        proc.stdout.close()  # before the child has started to write
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == code
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: cannot write to stdout: Broken pipe"
+        ]
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestInProcess:

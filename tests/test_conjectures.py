@@ -306,8 +306,7 @@ class TestScan:
     def test_counterexample_surfaces(self, monkeypatch, capsys):
         # both checks are true theorems, so feed them level lists they refute:
         # node counts that are not unimodal, and arc counts that peak elsewhere
-        monkeypatch.setattr(conjectures, "level_node_counts", lambda parts: [3, 1, 2, 1])
-        monkeypatch.setattr(conjectures, "_level_chain", lambda sig: ([3, 1, 2, 1], [1, 4, 1]))
+        monkeypatch.setattr(conjectures, "level_counts", lambda sig: ([3, 1, 2, 1], [1, 4, 1]))
 
         report = scan(2, [(), (4, 2)])
         assert not report.ok and report.checked == 2 and report.skipped == []

@@ -18,8 +18,7 @@ from divgraph.invariants import (
     degree,
     hasse_paths,
     hasse_size,
-    level_arc_counts,
-    level_node_counts,
+    level_counts,
     node_parity,
     order,
     width_arcs,
@@ -79,48 +78,46 @@ class TestHasseSize:
 
 class TestLevels:
     def test_node_counts_worked_example(self):
-        assert level_node_counts((2, 3, 1)) == [1, 3, 5, 6, 5, 3, 1]
+        assert level_counts((2, 3, 1))[0] == [1, 3, 5, 6, 5, 3, 1]
 
     @pytest.mark.parametrize(
         "sig,expected", [((1,), [1, 1]), ((2,), [1, 1, 1]), ((), [1])]
     )
     def test_node_counts_trivial(self, sig, expected):
-        assert level_node_counts(sig) == expected
+        assert level_counts(sig)[0] == expected
 
     def test_arc_counts_worked_example(self):
-        counts = level_arc_counts((2, 3, 1))
+        counts = level_counts((2, 3, 1))[1]
         assert counts[0] == 3
         assert max(counts) == 12
         assert counts == [3, 8, 12, 12, 8, 3]
 
     def test_arc_counts_trivial(self):
-        assert level_arc_counts((1,)) == [1]
-        assert level_arc_counts(()) == []
+        assert level_counts((1,))[1] == [1]
+        assert level_counts(())[1] == []
 
     def test_running_sums_equal_convolution(self):
         sigs = [p for k in range(19) for p in partitions_of(k)]
         assert len(sigs) == 1597
         sigs += [(1,) * 40, (40,), (20, 20), (5, 4, 3, 2, 1) * 3]
         for sig in sigs:
-            assert level_node_counts(sig) == level_node_counts_by_convolution(sig), sig
-            assert level_arc_counts(sig) == level_arc_counts_by_convolution(sig), sig
+            expected = level_node_counts_by_convolution(sig), level_arc_counts_by_convolution(sig)
+            assert level_counts(sig) == expected, sig
 
     def test_counts_equal_built_hasse_diagram(self):
         # level_profile reads the counts off the nodes and arcs of a built graph
         for sig in oracle_corpus(order_cap=300):
             profile = level_profile(build_graph(sig, GraphKind.HASSE))
-            assert level_node_counts(sig) == profile.node_counts, sig
-            assert level_arc_counts(sig) == profile.arc_counts, sig
+            assert level_counts(sig) == (profile.node_counts, profile.arc_counts), sig
 
     @pytest.mark.parametrize("sig", [(1,) * 300, (2,) * 100 + (1,) * 100, (3,) * 60, (40, 1)])
     def test_arc_counts_equal_lowered_rank_sequences_past_the_omega_budget(self, sig):
         # long runs of 1s take the recurrence's shortcut for a part of 1
-        assert level_arc_counts(sig) == level_arc_counts_by_lowering(sig)
+        assert level_counts(sig)[1] == level_arc_counts_by_lowering(sig)
 
     @given(signatures)
     def test_totals_and_symmetry(self, sig):
-        nodes = level_node_counts(sig)
-        arcs = level_arc_counts(sig)
+        nodes, arcs = level_counts(sig)
         assert sum(nodes) == order(sig)
         assert sum(arcs) == hasse_size(sig)
         assert nodes == nodes[::-1]
@@ -135,8 +132,7 @@ def _assert_rows_equal_running_sums(sig):
     nodes, arcs = level_chain_by_running_sums(sig)
     omega = len(nodes) - 1
     widths = nodes[omega // 2], arcs[(omega - 1) // 2] if omega else 0
-    assert level_node_counts(sig) == nodes
-    assert level_arc_counts(sig) == arcs
+    assert level_counts(sig) == (nodes, arcs)
     assert (width_nodes(sig), width_arcs(sig)) == widths
     return widths
 
@@ -360,6 +356,22 @@ class TestHeightAndBundle:
         with pytest.raises(BudgetError, match="Omega 1000000000 exceeds omega budget 40"):
             all_invariants((10**9,))
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("sig", [(), (1,), (2, 3, 1), (1,) * 300])
+    def test_one_level_fold_per_record(self, sig, monkeypatch):
+        # W_v and W_e are both read off a single (P, A) fold
+        calls = []
+        fold = invariants.level_counts
+        monkeypatch.setattr(invariants, "level_counts", lambda parts: calls.append(parts) or fold(parts))
+        rec = all_invariants(sig, omega_budget=300)
+        assert len(calls) == 1
+        assert (rec.width_nodes, rec.width_arcs) == (width_nodes(sig), width_arcs(sig))
+
+    def test_record_equals_row_functions_up_to_omega_20(self):
+        sigs = [p for k in range(21) for p in partitions_of(k)]
+        assert len(sigs) == 2714
+        for sig in sigs:
+            assert all_invariants(sig).as_tuple() == tuple(func(sig) for _, _, func, _ in TABLE), sig
 
     def test_empty_record(self):
         assert all_invariants(()).as_tuple() == (1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1)

@@ -137,29 +137,40 @@ class TestVerifyStructure:
             verify_structure(build_graph((2,), GraphKind.CLOSURE))
 
     @pytest.mark.parametrize(
-        "sig, drop, add, failing",
+        "sig, gone, drop, add, failing",
         [
             # the last arc goes: a second sink and one arc fewer on level 3
-            ((2, 2), [((2, 1), (2, 2))], [], ["arc_level_symmetry", "uniform_path_length"]),
+            ((2, 2), [], [((2, 1), (2, 2))], [], ["arc_level_symmetry", "uniform_path_length"]),
             # an arc from level 1 to level 3 that keeps every degree in bounds
             (
                 (2, 1, 1),
                 [],
+                [],
                 [((0, 0, 1), (2, 1, 0))],
                 ["arc_level_symmetry", "bipartite_by_parity", "uniform_path_length"],
             ),
+            # a level-3 node goes with its arcs; one arc fewer leaving level 1
+            # and one more leaving level 3 keep the arc counts symmetric
+            ((3, 2), [(2, 1)], [((1, 0), (1, 1))], [((1, 2), (3, 1))], ["level_symmetry"]),
+            # two complementary nodes go: two nodes on level 1 for three primes
+            ((1, 1, 1), [(1, 0, 0), (0, 1, 1)], [], [], ["special_levels"]),
+            # one more arc leaving level 1 and one more leaving level 2, each
+            # raising a degree past two
+            ((2, 2), [], [], [((0, 1), (2, 0)), ((0, 2), (2, 1))], ["degree_bounds"]),
         ],
-        ids=["dropped-arc", "level-skipping-arc"],
+        ids=["dropped-arc", "level-skipping-arc", "dropped-node", "dropped-node-pair", "extra-arcs"],
     )
-    def test_tampering_fails_exactly_these_claims(self, sig, drop, add, failing):
+    def test_tampering_fails_exactly_these_claims(self, sig, gone, drop, add, failing):
         g = build_graph(sig, GraphKind.HASSE)
-        index = {v: i for i, v in enumerate(g.nodes)}
-        drop_arcs = {(index[a], index[b]) for a, b in drop}
-        add_arcs = [(index[a], index[b]) for a, b in add]
-        arcs = sorted([arc for arc in g.arcs if arc not in drop_arcs] + add_arcs)
-        assert len(arcs) == len(g.arcs) - len(drop) + len(add)
+        pairs = [(g.nodes[a], g.nodes[b]) for a, b in g.arcs]
+        assert set(drop) <= set(pairs)
+        nodes = [v for v in g.nodes if v not in gone]
+        index = {v: i for i, v in enumerate(nodes)}
+        kept = [(a, b) for a, b in pairs if a in index and b in index and (a, b) not in drop]
+        arcs = sorted((index[a], index[b]) for a, b in kept + add)
+        assert all(a < b for a, b in arcs)  # every arc still goes forward
         tampered = type(g)(
-            signature=g.signature, kind=g.kind, nodes=g.nodes, arcs=arcs_from_pairs(arcs, len(g.nodes))
+            signature=g.signature, kind=g.kind, nodes=nodes, arcs=arcs_from_pairs(arcs, len(nodes))
         )
         assert verify_structure(tampered).failures() == failing
 
