@@ -79,15 +79,20 @@ def _check_positive(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
-def _write_out(text: str, out: Optional[str]) -> None:
+#: Characters handed to the text stream per write, so it encodes one slice
+#: at a time rather than a bytes copy of the whole output.
+_WRITE_SLICE = 1 << 20
+
+
+def _write_out(text: str, out: Optional[str], end: str = "") -> None:
+    """Write ``text`` and then ``end`` to stdout, or to the file ``out``."""
     to_stdout = out is None or out == "-"
     try:
-        if to_stdout:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(out, "w") as fh:
-                fh.write(text)
+        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w") as fh:
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
+            fh.write(end)
+            fh.flush()
     except OSError as exc:  # for stdout, say, a pipe whose reader has exited
         if to_stdout:  # the interpreter flushes stdout again at exit: send that to nothing
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -148,8 +153,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
     arc_budget = _budget(args.arc_budget, "DIVGRAPH_ARC_BUDGET", graphs.DEFAULT_ARC_BUDGET)
     g = graphs.build_graph(bounds, kind, node_budget=node_budget, arc_budget=arc_budget)
-    text = graphs.to_dot(g) if args.format == "dot" else graphs.to_json(g) + "\n"
-    _write_out(text, args.out)
+    if args.format == "dot":
+        _write_out(graphs.to_dot(g), args.out)
+    else:  # the newline goes on its own, not by a copy of the JSON with it appended
+        _write_out(graphs.to_json(g), args.out, end="\n")
     return 0
 
 

@@ -66,7 +66,7 @@ class DivisorGraph:
         node_counts = [0] * (top + 1)
         for lv in levels:
             node_counts[lv] += 1
-        arc_counts = [0] * top
+        arc_counts = [0] * (top + 1)  # a tampered graph may have arcs leaving the top
         indeg = [0] * n
         outdeg = [0] * n
         longest = [-1] * n
@@ -85,13 +85,15 @@ class DivisorGraph:
                 if d > longest[b]:
                     longest[b] = d
                 add_step(levels[b] - la)
+        if not arc_counts[top]:
+            arc_counts.pop()
         return LevelProfile(node_counts, arc_counts, levels, indeg, outdeg, longest, steps)
 
 
 @dataclass(frozen=True)
 class LevelProfile:
     node_counts: list[int]  # level l = coordinate sum l, l = 0..top
-    arc_counts: list[int]  # arcs leaving level l, l = 0..top-1
+    arc_counts: list[int]  # arcs leaving level l, l = 0..top-1, and l = top if any do
     levels: list[int]  # level of each node
     indeg: list[int]
     outdeg: list[int]
@@ -134,9 +136,11 @@ def level_profile(g: DivisorGraph) -> LevelProfile:
     of a Hasse diagram.
 
     One pass over the rows of ``g.arcs`` counts arcs by the level of their
-    tail, counts degrees, collects the level difference across each arc,
-    and pushes the longest arc distance from node 0 forward, which needs
-    the tail order that ``DivisorGraph`` documents.
+    tail (with an entry for the top level only when arcs leave it, which
+    none do in a built diagram), counts degrees, collects the level
+    difference across each arc, and pushes the longest arc distance from
+    node 0 forward, which needs the tail order that ``DivisorGraph``
+    documents.
     Levels are exponent sums read off ``g.nodes`` and the top level is the
     highest of them, never a formula of the signature.  The pass runs once
     per graph: later calls return the same profile, whose lists and set

@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from divgraph.errors import BudgetError
 
@@ -184,26 +184,17 @@ def _graded_partitions() -> Iterator[list[PrimeSignature]]:
     """The partitions of 0, 1, 2, ..., one grade at a time, each in descending
     lexicographic order.
 
-    Grade k is (p,) + q for p = k, k-1, ..., 1 and q over grade k-p with
-    q[0] <= p.  Grade k-p is itself in descending lexicographic order, so its
-    first parts never increase and the q it contributes are one suffix,
-    found by bisection; each grade is built from the earlier ones, with no
-    recursion and no sort.
+    Grade k is (k,) followed by (p,) + q for p = k-1, ..., 1 and q over
+    grade k-p with q[0] <= p, in that order: each grade is one comprehension
+    over the earlier ones, with no recursion and no sort.
     """
     grades = [[()]]
     yield grades[0]
     for k in itertools.count(1):
         grade = [(k,)]
-        for p in range(k - 1, 0, -1):
-            rest = grades[k - p]
-            start = bisect.bisect_left(rest, -p, key=_negated_first_part)
-            grade += map((p,).__add__, itertools.islice(rest, start, None))
+        grade += [(p,) + q for p in range(k - 1, 0, -1) for q in grades[k - p] if q[0] <= p]
         grades.append(grade)
         yield grade
-
-
-def _negated_first_part(q: PrimeSignature) -> int:
-    return -q[0]
 
 
 def partition_count(k: int) -> int:
@@ -255,26 +246,19 @@ def least_integer(parts: Iterable[int]) -> int:
     return math.prod(map(pow, _first_primes(len(sig)), sig))
 
 
-#: The primes found so far, in order.  ``_first_primes`` rebinds it to a
-#: longer tuple when asked for more and never mutates it.
-_PRIMES: tuple[int, ...] = (2,)
-
-
-def _first_primes(k: int) -> tuple[int, ...]:
-    """The first ``k`` primes, sliced from ``_PRIMES``, which is extended
-    only when ``k`` passes its length.  Calls that race to extend it each
-    slice their own tuple, so each gets its ``k`` primes."""
-    global _PRIMES
-    primes = _PRIMES
-    if len(primes) < k:
-        grown = list(primes)
-        c = grown[-1]
-        while len(grown) < k:
-            c += 1 if c == 2 else 2
-            if all(c % p for p in grown if p * p <= c):
-                grown.append(c)
-        _PRIMES = primes = tuple(grown)
-    return primes[:k]
+def _first_primes(k: int) -> Sequence[int]:
+    """The first ``k`` primes: a slice of ``_SMALL_PRIMES`` up to its 25,
+    and past them a copy extended by trial division up to the root of each
+    odd candidate."""
+    if k <= len(_SMALL_PRIMES):
+        return _SMALL_PRIMES[:k]
+    primes = list(_SMALL_PRIMES)
+    c = primes[-1]
+    while len(primes) < k:
+        c += 2
+        if all(c % p for p in itertools.takewhile(math.isqrt(c).__ge__, primes)):
+            primes.append(c)
+    return primes
 
 
 def spf_sieve(limit: int) -> list[int]:

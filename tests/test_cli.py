@@ -349,6 +349,23 @@ class TestGraph:
         assert code == 0
         assert out.count("->") == 7
 
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_output_longer_than_one_write_slice(self, tmp_path, fmt):
+        # the Hasse diagram of fourteen 1s has 114 688 arcs, some MB in either format
+        g = graphs.build_graph((1,) * 14, graphs.GraphKind.HASSE)
+        expected = (graphs.to_dot(g) if fmt == "dot" else graphs.to_json(g) + "\n").encode()
+        assert len(expected) > 2 * cli._WRITE_SLICE
+        argv = ["graph", "--sig", ".".join(["1"] * 14), "--format", fmt]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "divgraph.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == expected
+        target = tmp_path / f"g.{fmt}"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_bytes() == expected
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.dot"
         code, out, _ = run(capsys, "graph", "--n", "6", "--out", str(target))

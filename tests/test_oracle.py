@@ -5,8 +5,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divgraph.graphs import GraphKind, build_graph, level_profile
-from divgraph.invariants import all_invariants
+from divgraph.graphs import DivisorGraph, GraphKind, build_graph, level_profile
+from divgraph.invariants import InvariantRecord, all_invariants
+from divgraph.kernels import Arcs
 from divgraph.oracle import count_paths, measure, verify_structure
 
 from _corpus import small_corpus
@@ -173,6 +174,22 @@ class TestVerifyStructure:
             signature=g.signature, kind=g.kind, nodes=nodes, arcs=arcs_from_pairs(arcs, len(nodes))
         )
         assert verify_structure(tampered).failures() == failing
+
+    def test_arcs_leaving_the_top_level_are_counted(self):
+        # node 1 sits on the top level, 1, and has an arc, to node 2 on the
+        # same level
+        g = DivisorGraph((1, 1), GraphKind.HASSE, [(0, 0), (0, 1), (1, 0)], Arcs([[1, 2], [2], []]))
+        assert level_profile(g).arc_counts == [2, 1]
+        assert verify_structure(g).failures() == [
+            "level_symmetry",
+            "arc_level_symmetry",
+            "special_levels",
+            "bipartite_by_parity",
+            "uniform_path_length",
+        ]
+        record = measure(g, build_graph((1, 1), GraphKind.CLOSURE))
+        assert isinstance(record, InvariantRecord)
+        assert (record.hasse_size, record.width_arcs, record.e_even, record.e_odd) == (3, 2, 2, 1)
 
 
 class TestTransitiveReduction:

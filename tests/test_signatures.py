@@ -2,13 +2,18 @@
 
 import bisect
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from divgraph import signatures
 from divgraph.errors import BudgetError
 from divgraph.signatures import (
     _PSI,
@@ -341,14 +346,22 @@ class TestOrders:
         with pytest.raises(ValueError):
             enumerate_signatures(SignatureOrder.CANONICAL, 0)
 
-    @pytest.mark.parametrize("order", list(SignatureOrder))
-    def test_equals_recursive_grades_at_size_budget(self, order):
-        # grades built from earlier grades against grades built by recursion;
-        # 10^5 signatures reach Omega = 37
-        sigs = enumerate_signatures(order, SIZE_BUDGET)
-        assert sigs == signatures_by_recursion(order, SIZE_BUDGET)
-        assert sum(sigs[-1]) == 37
-        for k in (0, 1, 2, 5, 17, 37):
+    @pytest.mark.parametrize(
+        "order, count, omega",
+        [
+            pytest.param(order, count, omega, id=str(order) + suffix)
+            for order in SignatureOrder
+            # the size budget reaches Omega = 37; 139 signatures are grades 0
+            # to 10, one sequence table, and 1 050 end inside grade 17
+            for count, omega, suffix in ((SIZE_BUDGET, 37, ""), (139, 10, "-139"), (1050, 17, "-1050"))
+        ],
+    )
+    def test_equals_recursive_grades_at_size_budget(self, order, count, omega):
+        # grades built from earlier grades against grades built by recursion
+        sigs = enumerate_signatures(order, count)
+        assert sigs == signatures_by_recursion(order, count)
+        assert sum(sigs[-1]) == omega
+        for k in (0, 1, 2, 5, 17, omega):
             assert partitions_of(k) == partitions_by_recursion(k)
 
     @pytest.mark.parametrize("order", list(SignatureOrder))
@@ -374,11 +387,32 @@ class TestLeastInteger:
         assert least_integer((1,) * 16) == 32589158477190044730
 
     def test_square_free_after_longer_and_shorter_calls(self):
-        # the primes are kept between calls; each call must still see exactly
-        # its first len(sig) of them, whichever lengths came before
+        # each call sees exactly its first len(sig) primes, whichever lengths
+        # came before
         primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
         for k in (40, 3, 62, 0, 17, 62):
             assert least_integer((1,) * k) == math.prod(primes[:k])
+
+    @pytest.mark.parametrize("k", [25, 26, 37, 3000])
+    def test_square_free_past_the_trial_division_primes(self, k):
+        # the 25 primes below 100, then trial division; the 3000th prime is
+        # 27 449
+        spf = spf_sieve_by_loops(30_000)
+        primes = [n for n in range(2, 30_001) if spf[n] == n]
+        assert least_integer((1,) * k) == math.prod(primes[:k])
+        assert least_integer((2,) * k) == math.prod(primes[:k]) ** 2
+
+    def test_keeps_no_state_between_calls(self):
+        # in a fresh interpreter, so no earlier call has asked for the primes
+        code = (
+            "from divgraph import signatures as s\n"
+            "before = dict(vars(s))\n"
+            "s.least_integer((1,) * 3000)\n"
+            "assert vars(s) == before, sorted(k for k in before if vars(s)[k] is not before[k])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(signatures.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     @given(st.integers(min_value=1, max_value=20_000))
     def test_minimal_in_class(self, n):
