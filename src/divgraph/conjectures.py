@@ -22,15 +22,15 @@ Conjecture 3: the arcs leaving level l number sum_i N^(i)_l, where N^(i) is
 the rank sequence with m_i lowered by 1; each is symmetric about
 (Omega-1)/2 and unimodal, so the arc counts peak at floor((Omega-1)/2) and
 ceil((Omega-1)/2), one of which is the node peak floor(Omega/2).  The
-checks of conjectures 2 and 3 read node and arc counts from
-``invariants.level_counts``, the one fold behind both widths, which builds
-both by a recurrence over the parts rather than by that identity, on the
-two polynomials packed into one integer each, and unpacks them once; the
-tests pin both to list running sums, the arc counts to the lowered rank
-sequences, and both to the counts that ``graphs.level_profile`` reads off
-built Hasse diagrams.  The conjecture 2 scan reads the middle level with
-``invariants._middle_nodes``, the reader behind W_v, so it checks that
-reader too.
+checks of conjectures 2 and 3 read node and arc counts off the tuple that
+``scan`` checked, with the fold behind ``invariants.level_counts`` and both
+widths, which builds both by a recurrence over the parts rather than by
+that identity, on the two polynomials packed into one integer each, and
+unpacks them once; the tests pin both to list running sums, the arc counts
+to the lowered rank sequences, and both to the counts that
+``graphs.level_profile`` reads off built Hasse diagrams.  The conjecture 2
+scan reads the middle level with ``invariants._middle_nodes``, the reader
+behind W_v, so it checks that reader too.
 
 Scans never assert truth; they produce reports, and an empty counterexample
 list is evidence on the scanned range only.
@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 from divgraph import invariants
 from divgraph.errors import BudgetError
 from divgraph.graphs import DEFAULT_NODE_BUDGET, DivisorGraph, GraphKind, build_graph
-from divgraph.invariants import level_counts, order
+from divgraph.invariants import _level_counts as level_counts, order  # scan checks each signature
 from divgraph.signatures import as_signature
 
 

@@ -2,9 +2,12 @@
 
 Everything here is a pure function of the exponent multiset; no graph is
 ever built.  Every count is an exact integer, however large; the one
-refusal is the omega budget of ``closure_paths``.  ``TABLE`` lists the
-invariants once; the record type, the sequence keys and spellings, and the
-CLI output all derive from it.  Each formula is written once: the level
+refusal is the omega budget of ``closure_paths``.  Each formula takes a
+canonical tuple and checks nothing (``_order``, ...); the public function
+of its name checks its input once (``signatures.checked``), as
+``all_invariants`` does for all fourteen.  ``TABLE`` lists the invariants
+once; the record type, the sequence keys and spellings, and the CLI
+output all derive from it.  Each formula is written once: the level
 polynomial P and the leaving-arc polynomial A are one state, held packed,
 one coefficient per digit of a single integer, and appending a part is a
 few shifted adds (``_chain_step``).  ``level_counts`` folds that state over
@@ -26,24 +29,23 @@ from operator import mul
 from typing import Callable, Iterable
 
 from divgraph.errors import BudgetError
-from divgraph.signatures import PrimeSignature, as_signature, big_omega, small_omega
+from divgraph.signatures import PrimeSignature, as_signature, checked
 
 DEFAULT_OMEGA_BUDGET = 40
 
 
-def order(parts: Iterable[int]) -> int:
+def _order(sig: PrimeSignature) -> int:
     """Node count: product of (exponent + 1); 1 for the empty signature."""
-    return math.prod(m + 1 for m in as_signature(parts))
+    return math.prod(m + 1 for m in sig)
 
 
-def hasse_size(parts: Iterable[int]) -> int:
+def _hasse_size(sig: PrimeSignature) -> int:
     """Arc count of the Hasse diagram: sum_i m_i |V| / (m_i + 1).
 
     An arc raises one coordinate i from one of its m_i lower values, whatever
     the other coordinates are, and those range over |V| / (m_i + 1) vectors.
     """
-    sig = tuple(parts)
-    nodes = order(sig)  # also validates the parts
+    nodes = _order(sig)
     return sum(m * (nodes // (m + 1)) for m in sig)
 
 
@@ -127,7 +129,7 @@ def _prefix_column(
     return list(values.values())
 
 
-def level_counts(parts: Iterable[int]) -> tuple[list[int], list[int]]:
+def _level_counts(sig: PrimeSignature) -> tuple[list[int], list[int]]:
     """(node counts, leaving-arc counts) by level: |V_l| for l = 0..Omega,
     the coefficients of P(x) = prod_i (1 + x + ... + x^m_i), and the arcs
     leaving level l for l = 0..Omega-1 (empty for Omega = 0).
@@ -135,7 +137,6 @@ def level_counts(parts: Iterable[int]) -> tuple[list[int], list[int]]:
     ``_chain_step`` is folded over the parts on packed (P, A), and both are
     unpacked once.
     """
-    sig = as_signature(parts)
     omega = sum(sig)
     size = _digit_bytes([sig], omega)
     width = 8 * size
@@ -201,50 +202,46 @@ def _width_column(
     )
 
 
-def degree(parts: Iterable[int]) -> int:
+def _degree(sig: PrimeSignature) -> int:
     """Maximum node degree of the Hasse diagram: omega + #exponents above 1."""
-    sig = as_signature(parts)
     return len(sig) + sum(1 for m in sig if m > 1)
 
 
-def hasse_paths(parts: Iterable[int]) -> int:
+def _hasse_paths(sig: PrimeSignature) -> int:
     """Source-to-sink path count of the Hasse diagram.
 
     Equals the number of ordered prime factorizations: the multinomial
     (sum m_i)! / prod m_i!.
     """
-    sig = as_signature(parts)
     value = math.factorial(sum(sig))
     for m in sig:
         value //= math.factorial(m)
     return value
 
 
-def node_parity(parts: Iterable[int]) -> tuple[int, int]:
+def _node_parity(sig: PrimeSignature) -> tuple[int, int]:
     """(|V_E|, |V_O|): nodes on even and odd levels; |V_O| = floor(|V|/2)."""
-    n = order(parts)
+    n = _order(sig)
     return n - n // 2, n // 2
 
 
-def arc_parity(parts: Iterable[int]) -> tuple[int, int]:
+def _arc_parity(sig: PrimeSignature) -> tuple[int, int]:
     """(|E_E|, |E_O|) by tail-level parity; |E_O| = floor(|E^H|/2)."""
-    e = hasse_size(parts)
+    e = _hasse_size(sig)
     return e - e // 2, e // 2
 
 
-def closure_size(parts: Iterable[int]) -> int:
+def _closure_size(sig: PrimeSignature) -> int:
     """Arc count of the transitive closure, in closed form.
 
     Summing the divisor-count function over the lattice gives
     prod (m_i+1)(m_i+2)/2, and every node contributes its proper divisors
     as incoming arcs, so |E^T| = prod (m_i+1)(m_i+2)/2 - |V|.
     """
-    sig = tuple(parts)
-    nodes = order(sig)  # also validates the parts
-    return math.prod((m + 1) * (m + 2) // 2 for m in sig) - nodes
+    return math.prod((m + 1) * (m + 2) // 2 for m in sig) - _order(sig)
 
 
-def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUDGET) -> int:
+def _closure_paths(sig: PrimeSignature, *, omega_budget: int = DEFAULT_OMEGA_BUDGET) -> int:
     """Source-to-sink path count of the transitive closure, in closed form.
 
     A path is a strict chain 1 = d_0 < d_1 < ... < d_l = n of divisors, so
@@ -260,7 +257,6 @@ def closure_paths(parts: Iterable[int], *, omega_budget: int = DEFAULT_OMEGA_BUD
     big-integer steps for d distinct parts, plus the powers.
     The one-node and two-node graphs have a single path.
     """
-    sig = as_signature(parts)
     total = sum(sig)
     _check_omega(total, omega_budget)
     if total <= 1:
@@ -327,24 +323,37 @@ def _check_omega(total: int, omega_budget: int) -> None:
         raise BudgetError(f"Omega {total} exceeds omega budget {omega_budget}")
 
 
+# The public forms: any exponent iterable, checked once, into the formula.
+order = checked(_order)
+hasse_size = checked(_hasse_size)
+level_counts = checked(_level_counts)
+degree = checked(_degree)
+hasse_paths = checked(_hasse_paths)
+node_parity = checked(_node_parity)
+arc_parity = checked(_arc_parity)
+closure_size = checked(_closure_size)
+closure_paths = checked(_closure_paths)
+
 #: The fourteen invariants in table-row order, one row each:
-#: (key, record field, function of the signature, accepted spellings).
+#: (key, record field, function of a canonical signature, accepted spellings).
 #: A name resolves to a key when it equals the key or, lowercased, one of the
-#: spellings.
+#: spellings.  A row's function is its formula, which does not check the
+#: signature again, except that the three rows with a column in ``COLUMNS``,
+#: which no table maps one signature at a time, hold the public functions.
 TABLE = (
-    ("V", "order", order, ("|v|", "v")),
-    ("EH", "hasse_size", hasse_size, ("|e^h|", "e^h", "eh")),
-    ("Omega", "big_omega", big_omega, ("bigomega",)),
-    ("omega", "small_omega", small_omega, ("smallomega",)),
+    ("V", "order", _order, ("|v|", "v")),
+    ("EH", "hasse_size", _hasse_size, ("|e^h|", "e^h", "eh")),
+    ("Omega", "big_omega", sum, ("bigomega",)),
+    ("omega", "small_omega", len, ("smallomega",)),
     ("Wv", "width_nodes", width_nodes, ("w_v", "wv")),
     ("We", "width_arcs", width_arcs, ("w_e", "we")),
-    ("Delta", "degree", degree, ("delta", "d")),
-    ("PH", "hasse_paths", hasse_paths, ("|p^h|", "p^h", "ph")),
-    ("VE", "v_even", lambda s: node_parity(s)[0], ("|v_e|", "v_e", "ve")),
-    ("VO", "v_odd", lambda s: node_parity(s)[1], ("|v_o|", "v_o", "vo")),
-    ("EE", "e_even", lambda s: arc_parity(s)[0], ("|e_e|", "e_e", "ee")),
-    ("EO", "e_odd", lambda s: arc_parity(s)[1], ("|e_o|", "e_o", "eo")),
-    ("ET", "closure_size", closure_size, ("|e^t|", "e^t", "et")),
+    ("Delta", "degree", _degree, ("delta", "d")),
+    ("PH", "hasse_paths", _hasse_paths, ("|p^h|", "p^h", "ph")),
+    ("VE", "v_even", lambda s: _node_parity(s)[0], ("|v_e|", "v_e", "ve")),
+    ("VO", "v_odd", lambda s: _node_parity(s)[1], ("|v_o|", "v_o", "vo")),
+    ("EE", "e_even", lambda s: _arc_parity(s)[0], ("|e_e|", "e_e", "ee")),
+    ("EO", "e_odd", lambda s: _arc_parity(s)[1], ("|e_o|", "e_o", "eo")),
+    ("ET", "closure_size", _closure_size, ("|e^t|", "e^t", "et")),
     ("PT", "closure_paths", closure_paths, ("|p^t|", "p^t", "pt")),
 )
 
@@ -380,20 +389,20 @@ def all_invariants(
 ) -> InvariantRecord:
     """Bundle all fourteen invariants for one signature.
 
-    Each value is its row's function applied to the signature, except that
-    W_v and W_e are read off one ``level_counts`` fold with the rows'
-    readers, and |P^T| is also given the omega budget.  The budget is
-    checked before any row runs, so that no level list or factorial is
-    built for an Omega it refuses.
+    The signature is checked once, here.  Each value is its row's formula
+    applied to the canonical tuple, except that W_v and W_e are read off one
+    ``_level_counts`` fold with the rows' readers, and |P^T| is also given
+    the omega budget.  The budget is checked before any row runs, so that no
+    level list or factorial is built for an Omega it refuses.
     """
     sig = as_signature(parts)
     omega = sum(sig)
     _check_omega(omega, omega_budget)
-    nodes, arcs = level_counts(sig)
+    nodes, arcs = _level_counts(sig)
     shared = {
         "Wv": _middle_nodes(omega, nodes),
         "We": _middle_arcs(omega, arcs),
-        "PT": closure_paths(sig, omega_budget=omega_budget),
+        "PT": _closure_paths(sig, omega_budget=omega_budget),
     }
     return InvariantRecord(
         *(shared[key] if key in shared else func(sig) for key, _, func, _ in TABLE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter, lt
 from typing import Callable, Optional
 
@@ -20,11 +20,10 @@ from divgraph.errors import BFileFormatError
 from divgraph.signatures import (
     PrimeSignature,
     SignatureOrder,
+    _least_integer,
     check_size,
     enumerate_signatures,
-    least_integer,
     natural_classes,
-    signature_key,
 )
 
 
@@ -35,9 +34,11 @@ class Ordering(Enum):
 
 
 #: The invariant table plus the least-integer row, which has no record field.
-_ROWS = invariants.TABLE + (("LI", None, least_integer, ("li",)),)
+_ROWS = invariants.TABLE + (("LI", None, _least_integer, ("li",)),)
 
-#: Canonical invariant keys, in table-row order, each with its function.
+#: Canonical invariant keys, in table-row order, each with its function of a
+#: canonical signature (see ``invariants.TABLE``): for every row that
+#: ``generate`` maps one signature at a time, a formula that checks nothing.
 INVARIANT_FUNCS: dict[str, Callable[[tuple[int, ...]], int]] = {
     key: func for key, _, func, _ in _ROWS
 }
@@ -107,9 +108,9 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     Natural order reads each n's signature class off one smallest-prime-factor
     sieve, computes each distinct signature's value once per call and maps
     those values over the classes.  In every order, a row in
-    ``invariants.COLUMNS`` is built in one pass over the signatures.
-    ``count`` is checked against the size budget before anything is
-    allocated.
+    ``invariants.COLUMNS`` is built in one pass over the signatures, and
+    any other row maps its formula over them, with no check per row.
+    ``count`` is checked against the size budget before anything is made.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -140,29 +141,49 @@ class EmitFormat(Enum):
 def emit(table: SequenceTable, fmt: EmitFormat) -> bytes:
     """Serialize a table; see parse_bfile for the b-file inverse.
 
-    Each format is one join over rows formatted straight from the columns.
+    Each format is one ``%`` fill of a row template repeated once per row
+    (see ``_fill``), as ``graphs.to_dot`` fills its arc lines: ``map``
+    picks the templates and ``chain`` flattens the columns' fields, so no
+    row is formatted in Python.
     """
     keys, values, sigs = table.keys(), table.value_column, table.signature_column
     if fmt is EmitFormat.CSV:
         if sigs is None:
-            rows = [f"{k},{v}\n" for k, v in zip(keys, values)]
-            return ("key,value\n" + "".join(rows)).encode()
-        rows = [f"{k},{signature_key(s)},{v}\n" for k, s, v in zip(keys, sigs, values)]
-        return ("key,signature,value\n" + "".join(rows)).encode()
+            return ("key,value\n" + _fill("%s,%s\n", "", keys, values)).encode()
+        rows = _fill("%s,{},%s\n", "", keys, values, sigs, lambda w: ".".join(["%s"] * w) or "0")
+        return ("key,signature,value\n" + rows).encode()
     if fmt is EmitFormat.JSON:
         # byte for byte what json.dumps gives for the dict with the row dicts
         head = json.dumps({"invariant": table.invariant, "ordering": table.ordering.value})
         if sigs is None:
-            rows = [f'{{"key": {k}, "value": {v}}}' for k, v in zip(keys, values)]
+            rows = _fill('{"key": %s, "value": %s}', ", ", keys, values)
         else:
-            rows = [
-                f'{{"key": {k}, "signature": {list(s)}, "value": {v}}}'
-                for k, s, v in zip(keys, sigs, values)
-            ]
-        return (head[:-1] + ', "entries": [' + ", ".join(rows) + "]}").encode()
+            row = '{"key": %s, "signature": [{}], "value": %s}'
+            rows = _fill(row, ", ", keys, values, sigs, lambda w: ", ".join(["%s"] * w))
+        return (head[:-1] + ', "entries": [' + rows + "]}").encode()
     if fmt is EmitFormat.BFILE:
-        return "".join([f"{k} {v}\n" for k, v in zip(keys, values)]).encode()
+        return _fill("%s %s\n", "", keys, values).encode()
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _fill(
+    row: str,
+    sep: str,
+    keys: range,
+    values: list[int],
+    sigs: Optional[list[PrimeSignature]] = None,
+    parts: Optional[Callable[[int], str]] = None,
+) -> str:
+    """The rows joined by ``sep``, by one ``%`` fill of ``row`` repeated,
+    with a field for each key and value.  With ``sigs``, each row's ``{}``
+    holds ``parts(w)``, the fields of its signature's w parts, so the
+    template is picked by the signature's length."""
+    if sigs is None:
+        return sep.join(repeat(row, len(values))) % tuple(chain.from_iterable(zip(keys, values)))
+    widths = list(map(len, sigs))
+    rows = [row.replace("{}", parts(w)) for w in range(max(widths, default=0) + 1)]
+    fields = chain.from_iterable(chain.from_iterable(zip(zip(keys), sigs, zip(values))))
+    return sep.join(map(rows.__getitem__, widths)) % tuple(fields)
 
 
 def parse_bfile(data: bytes) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from divgraph.errors import BudgetError
 
@@ -159,6 +159,19 @@ def as_signature(parts: Iterable[int]) -> PrimeSignature:
     return tuple(sorted(t, reverse=True))
 
 
+def checked(formula: Callable) -> Callable:
+    """The public form of ``formula``, a function of a canonical signature:
+    it takes any exponent iterable, checks and sorts it with ``as_signature``
+    and passes the tuple on, with any keyword arguments."""
+
+    def public(parts: Iterable[int], **kwargs):
+        return formula(as_signature(parts), **kwargs)
+
+    public.__name__ = public.__qualname__ = formula.__name__.lstrip("_")
+    public.__module__, public.__doc__ = formula.__module__, formula.__doc__
+    return public
+
+
 def big_omega(parts: Iterable[int]) -> int:
     """Number of prime factors counted with multiplicity (sum of exponents)."""
     return sum(as_signature(parts))
@@ -236,14 +249,16 @@ def enumerate_signatures(order: SignatureOrder, count: int) -> list[PrimeSignatu
             return out[:count]
 
 
-def least_integer(parts: Iterable[int]) -> int:
+def _least_integer(sig: PrimeSignature) -> int:
     """Smallest positive integer whose signature equals the given multiset.
 
     Largest exponent goes on the smallest prime: 2^s1 * 3^s2 * 5^s3 * ...
     The value is exact however large.
     """
-    sig = as_signature(parts)
     return math.prod(map(pow, _first_primes(len(sig)), sig))
+
+
+least_integer = checked(_least_integer)
 
 
 def _first_primes(k: int) -> Sequence[int]:

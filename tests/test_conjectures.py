@@ -239,6 +239,11 @@ class TestScan:
         assert report.checked == len(sigs)
         assert report.counterexamples == []
 
+    @pytest.mark.parametrize("conjecture", [2, 3])
+    def test_width_checks_check_each_signature_once(self, conjecture, signature_checks):
+        report = scan(conjecture, [(), (1,), (1, 2), [1, 3, 1]])
+        assert report.ok and signature_checks == [(), (1,), (2, 1), (3, 1, 1)]
+
     def test_conjecture_1_certificate_once_per_signature(self, monkeypatch):
         # the certificate does not depend on the mode, so "both" checks it once
         checked = []

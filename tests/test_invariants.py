@@ -1,6 +1,7 @@
 """Closed formulas: worked examples, dual-route cross-checks, and properties."""
 
 import math
+import sys
 import time
 
 import pytest
@@ -24,7 +25,7 @@ from divgraph.invariants import (
     width_arcs,
     width_nodes,
 )
-from divgraph.signatures import big_omega, partitions_of
+from divgraph.signatures import big_omega, least_integer, partitions_of, small_omega
 
 from _corpus import oracle_corpus, small_corpus
 from _reference import (
@@ -44,6 +45,62 @@ signatures = st.lists(st.integers(min_value=1, max_value=5), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
 shuffles = st.randoms(use_true_random=False)
+
+
+def _graph_size(parts):
+    """Node and arc counts of the Hasse diagram, which keeps the parts' order."""
+    g = build_graph(parts, GraphKind.HASSE)
+    return len(g.nodes), len(g.arcs)
+
+
+# Every public function of a signature: the ones behind the TABLE rows, and
+# the others that take one.
+PUBLIC = {
+    "order": order,
+    "hasse_size": hasse_size,
+    "big_omega": big_omega,
+    "small_omega": small_omega,
+    "width_nodes": width_nodes,
+    "width_arcs": width_arcs,
+    "degree": degree,
+    "hasse_paths": hasse_paths,
+    "node_parity": node_parity,
+    "arc_parity": arc_parity,
+    "closure_size": closure_size,
+    "closure_paths": closure_paths,
+    "level_counts": level_counts,
+    "least_integer": least_integer,
+    "build_graph": _graph_size,
+}
+
+
+class TestInputChecks:
+    """The public functions check their input, however the formulas behind
+    them share it."""
+
+    @pytest.mark.parametrize("bad", [(0,), (-1,), (True,), (1.5,), ("1",), (2, 0, 1)], ids=repr)
+    @pytest.mark.parametrize("name", list(PUBLIC))
+    def test_bad_parts_raise(self, name, bad):
+        with pytest.raises(ValueError) as info:
+            PUBLIC[name](bad)
+        assert str(info.value) == f"signature parts must be positive integers, got {bad!r}"
+
+    @pytest.mark.parametrize("name", list(PUBLIC))
+    def test_any_order_and_iterable(self, name):
+        func = PUBLIC[name]
+        expected = func((3, 2, 1))
+        assert func((1, 3, 2)) == func([2, 1, 3]) == func(iter((1, 2, 3))) == expected
+
+    @pytest.mark.parametrize("name", [name for name in PUBLIC if name != "build_graph"])
+    def test_public_form_keeps_its_name_and_docstring(self, name):
+        func = PUBLIC[name]
+        assert func.__name__ == name and func.__doc__
+        assert getattr(sys.modules[func.__module__], name) is func
+
+    @pytest.mark.parametrize("sig", [(), (2, 1), (1, 3, 2), (1,) * 30])
+    def test_all_invariants_checks_once(self, sig, signature_checks):
+        all_invariants(sig)
+        assert signature_checks == [tuple(sorted(sig, reverse=True))]
 
 
 class TestOrder:
@@ -361,8 +418,8 @@ class TestHeightAndBundle:
     def test_one_level_fold_per_record(self, sig, monkeypatch):
         # W_v and W_e are both read off a single (P, A) fold
         calls = []
-        fold = invariants.level_counts
-        monkeypatch.setattr(invariants, "level_counts", lambda parts: calls.append(parts) or fold(parts))
+        fold = invariants._level_counts
+        monkeypatch.setattr(invariants, "_level_counts", lambda sig: calls.append(sig) or fold(sig))
         rec = all_invariants(sig, omega_budget=300)
         assert len(calls) == 1
         assert (rec.width_nodes, rec.width_arcs) == (width_nodes(sig), width_arcs(sig))

@@ -192,6 +192,18 @@ class TestEmit:
         empty = SequenceTable(invariant="V", ordering=Ordering.NATURAL, value_column=[])
         assert emit(empty, EmitFormat.CSV) == b"key,value\n"
         assert emit(empty, EmitFormat.BFILE) == b""
+        assert emit(empty, EmitFormat.JSON) == b'{"invariant": "V", "ordering": "natural", "entries": []}'
+        # an empty signature-order table, and a hand-built signature column
+        # with () past the first row and tuples that are not canonical
+        tables = [
+            empty,
+            SequenceTable("V", Ordering.GRADED_COLEX, [], []),
+            SequenceTable("PT", Ordering.CANONICAL, [3, 1, 8, 26], [(1, 1), (), (1, 3), (1, 2, 1, 1)]),
+        ]
+        for table in tables:
+            for fmt in EmitFormat:
+                assert emit(table, fmt) == emit_by_rows(table, fmt), (table, fmt)
+        assert emit(tables[2], EmitFormat.CSV).splitlines()[2:4] == [b"1,0,1", b"2,1.3,8"]
 
 
 class TestParseBFile:
@@ -456,6 +468,13 @@ class TestSignatureOrderColumns:
 
     def test_grade_ends(self):
         assert GRADE_ENDS == [1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 139]
+
+    @pytest.mark.parametrize("ordering", SIGNATURE_ORDERS, ids=lambda o: o.value)
+    @pytest.mark.parametrize("name", list(INVARIANT_FUNCS))
+    def test_no_check_per_row(self, name, ordering, signature_checks):
+        # the enumerated signatures are canonical, so no row checks its own
+        assert len(generate(name, ordering, 139).value_column) == 139
+        assert signature_checks == []
 
     @pytest.mark.parametrize("ordering", SIGNATURE_ORDERS, ids=lambda o: o.value)
     @pytest.mark.parametrize("count", [1, 29, 30, 31, 44, 45, 46, 67])
