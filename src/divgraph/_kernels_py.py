@@ -4,12 +4,12 @@ Nodes are exponent vectors below ``bounds``, indexed by their position in
 lexicographic order, so every arc (tail, head) satisfies tail < head and
 the index order is already topological.  The arc kernels return ``Arcs``:
 one plain list of heads per tail, ascending, and no tuple per arc.
-Neither kernel scans node pairs: a Hasse head is the tail's index plus one
-coordinate's stride, appended to the rows by one masked pass per
-coordinate with every arc into a node sharing one int, and a closure
-tail's heads are its up-set, built by shifting the up-sets of the later
-coordinates.  Both keep the per-arc work inside ``map`` and list
-operations, not in Python code.
+Neither kernel scans node pairs.  A Hasse head is the tail's index plus
+one coordinate's stride, appended to the rows by one masked pass per
+coordinate: no Python code runs per arc, and every arc into a node shares
+one int.  A closure tail's heads are its up-set, built by shifting the
+up-sets of the later coordinates, one comprehension per coordinate value;
+list slicing and concatenation copy the shifted ints into the rows.
 
 Each kernel runs with the cyclic garbage collector paused: the lists and
 tuples it builds hold only ints and can form no cycle, yet the full
@@ -93,28 +93,28 @@ def closure_arcs(bounds: tuple[int, ...]) -> Arcs:
     """Arcs of the transitive closure: every ordered pair a < b with a
     componentwise below b.
 
-    The up-set of a node is the node itself followed by every node above
-    it, ascending.  Up-sets are built one coordinate at a time, last
-    coordinate first: if ``size`` nodes span the coordinates done so far,
-    the up-set of (x, y) is the up-set of y shifted by x'*size for each
-    x' = x..m in turn.  Walking x down from m, each up-set is the previous
-    one with one shifted copy in front, so the per-element work runs in
-    ``map`` and list concatenation.  A tail's row is its up-set with the
-    tail itself removed, in place; the work is linear in the arc count.
+    A tail's row is its up-set (itself and every node above it, ascending)
+    less itself, dropped in place.  From the last coordinate's chain on, if
+    ``size`` nodes span the coordinates done so far, the up-set of (x, y) is
+    that of (x+1, y) with the up-set of y shifted by x*size in front.  One
+    comprehension per x shifts all the up-sets of y at once, flattened, and
+    slices cut it back into one list per node, so each shifted int is shared.
     """
-    ups = [[0]]  # the up-set of the one node over no coordinates
-    size = 1
-    for m in reversed(bounds):
-        new = [None] * ((m + 1) * size)
-        for j, up in enumerate(ups):
-            acc: list[int] = []
-            for x in range(m, -1, -1):
-                acc = list(map((x * size).__add__, up)) + acc
-                new[x * size + j] = acc
-        ups = new
+    size = bounds[-1] + 1 if bounds else 1
+    ups = [list(range(j, size)) for j in range(size)]
+    for m in reversed(bounds[:-1]):
+        flat = list(itertools.chain.from_iterable(ups))
+        ends = list(itertools.accumulate(map(len, ups), initial=0))
+        slices = list(map(slice, ends, ends[1:]))
+        ups = [None] * ((m + 1) * size)
+        above = None
+        for shift in range(m * size, -1, -size):
+            shifted = [shift + h for h in flat] if shift else flat
+            cut = map(shifted.__getitem__, slices)
+            above = list(cut) if above is None else list(map(list.__add__, cut, above))
+            ups[shift : shift + size] = above
         size *= m + 1
-    for up in ups:
-        del up[0]
+    collections.deque(map(list.pop, ups, itertools.repeat(0)), maxlen=0)
     return Arcs(ups)
 
 

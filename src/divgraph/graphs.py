@@ -38,8 +38,8 @@ class GraphKind(Enum):
 class DivisorGraph:
     """Nodes in lexicographic order, so every arc goes from a lower index to
     a higher one; ``arcs.rows[i]`` holds node i's heads, ascending.  The
-    oracle's forward passes over the rows rely on that order: all arcs into
-    a node come before any arc out of it."""
+    oracle's passes over the rows rely on that order: all arcs into a node
+    come before any arc out of it."""
 
     signature: tuple[int, ...]
     kind: GraphKind

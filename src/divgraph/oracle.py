@@ -4,7 +4,7 @@ Ground truth for the formulas in divgraph.invariants: everything here is
 read off the nodes and the arc rows by counting, bucketing, and path DP,
 never by formula.  Levels, counts, degrees, longest distances from the
 source and level steps come from one pass, ``graphs.level_profile``; path
-counts from one forward push over the rows.
+counts from one backward pull over the rows.
 """
 
 from __future__ import annotations
@@ -16,17 +16,17 @@ from divgraph.invariants import InvariantRecord
 
 
 def count_paths(g: DivisorGraph) -> int:
-    """Number of distinct source-to-sink paths, by one forward push.
-
-    Rows come in tail order and every arc goes low to high, so each node's
-    count is final before ``zip`` reads it and pushes it along its row.
-    """
-    counts = [0] * len(g.nodes)
-    counts[0] = 1
-    for c, row in zip(counts, g.arcs.rows):
-        for h in row:
-            counts[h] += c
-    return counts[-1]
+    """Number of distinct source-to-sink paths, by one backward pull: each
+    tail, last first, sums its heads' counts in a local.  Every arc goes low
+    to high, so each head's count is final before its tail reads it."""
+    rows = g.arcs.rows
+    paths = [0] * (len(rows) - 1) + [1]
+    for a in range(len(rows) - 2, -1, -1):
+        total = 0
+        for h in rows[a]:
+            total += paths[h]
+        paths[a] = total
+    return paths[0]
 
 
 def measure(g: DivisorGraph, gT: DivisorGraph) -> InvariantRecord:

@@ -3,15 +3,15 @@
 Each recomputes a quantity that divgraph computes another way: by a
 recursion or an unfolded sum instead of a closed form, by exhaustive search
 on an explicit graph instead of a DP, by a max flow instead of a
-certificate, by trial division instead of Miller–Rabin and Pollard's rho,
-by all twelve Miller–Rabin bases instead of as many as the size needs, by
-stride-offset sums instead of shifted up-sets, by polynomial convolution
-or by list running sums instead of packed shifted adds, by lowered rank
-sequences instead of the arc-count recurrence, by the largest
-level instead of the proven peak level, by a loop per multiple instead of
-slice assignment, by recursion instead of from earlier partition grades,
-or row by row through ``SequenceEntry`` objects instead of over a table's
-columns.
+certificate, by a forward push instead of a backward pull, by trial
+division instead of Miller–Rabin and Pollard's rho, by all twelve
+Miller–Rabin bases instead of as many as the size needs, by stride-offset
+sums instead of shifted up-sets, by polynomial convolution or by list
+running sums instead of packed shifted adds, by lowered rank sequences
+instead of the arc-count recurrence, by the largest level instead of the
+proven peak level, by a loop per multiple instead of slice assignment, by
+recursion instead of from earlier partition grades, or row by row through
+``SequenceEntry`` objects instead of over a table's columns.
 ``factorization_value`` multiplies a factorization back out, to check it.
 ``arcs_from_pairs`` builds the rows of a hand-made or tampered graph from
 ``(tail, head)`` pairs.
@@ -158,6 +158,20 @@ def _max_flow(n, edges, source, sink) -> int:
             cap[e ^ 1] += bottleneck
             v = head[e ^ 1]
         flow += bottleneck
+
+
+def count_paths_by_push(g: DivisorGraph) -> int:
+    """Number of distinct source-to-sink paths, by one forward push.
+
+    Rows come in tail order and every arc goes low to high, so each node's
+    count is final before ``zip`` reads it and pushes it along its row.
+    """
+    counts = [0] * len(g.nodes)
+    counts[0] = 1
+    for c, row in zip(counts, g.arcs.rows):
+        for h in row:
+            counts[h] += c
+    return counts[-1]
 
 
 def count_paths_dfs(g: DivisorGraph) -> int:

@@ -125,6 +125,13 @@ def test_hasse_arcs_into_a_node_share_one_head(bounds):
     assert len({id(head) for head in heads}) == len(set(heads)) == len(arcs.rows) - 1
 
 
+@pytest.mark.parametrize("bounds", [(), *COMPOSITIONS, *LARGE_BOUNDS], ids=str)
+def test_closure_rows_are_distinct_lists(bounds):
+    # each row drops its own tail in place, so no two rows may be one list
+    rows = kernels.closure_arcs(bounds).rows
+    assert len({id(row) for row in rows}) == len(rows)
+
+
 def test_closure_rows_keep_under_24_bytes_per_arc():
     # one int pointer per arc in its row; the shifted ints are shared
     # between up-sets (a tuple per arc kept about 71 bytes)
