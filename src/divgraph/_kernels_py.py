@@ -1,9 +1,10 @@
-"""Graph-construction kernels: node enumeration, Hasse arcs, closure arcs.
+"""Graph-construction kernels: the node view, Hasse arcs, closure arcs.
 
 Nodes are exponent vectors below ``bounds``, indexed by their position in
 lexicographic order, so every arc (tail, head) satisfies tail < head and
-the index order is already topological.  The arc kernels return ``Arcs``:
-one plain list of heads per tail, ascending, and no tuple per arc.
+the index order is already topological; ``Nodes`` is that order as a view
+over the bounds.  The arc kernels return ``Arcs``: one plain list of heads
+per tail, ascending, and no tuple per arc.
 Neither kernel scans node pairs.  A Hasse head is the tail's index plus
 one coordinate's stride, appended to the rows by one masked pass per
 coordinate: no Python code runs per arc, and every arc into a node shares
@@ -26,6 +27,8 @@ import functools
 import gc
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from typing import Iterator
 
 
@@ -56,6 +59,47 @@ class Arcs:
         return self.rows == other.rows
 
 
+class Nodes(Sequence):
+    """The exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic, as
+    a read-only sequence: a node's index is its position here.  It holds the
+    bounds and the node count; iterating yields the tuples anew each time,
+    an item is found by mixed-radix ``divmod``, a slice is a list, and the
+    view compares equal to the list of the same tuples."""
+
+    __slots__ = ("bounds", "_count")
+
+    def __init__(self, bounds: tuple[int, ...]):
+        self.bounds = bounds
+        self._count = math.prod(m + 1 for m in bounds)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*(range(m + 1) for m in self.bounds))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = operator.index(i)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("node index out of range")
+        v = []
+        for s in _strides(self.bounds):
+            x, i = divmod(i, s)
+            v.append(x)
+        return tuple(v)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Nodes):
+            return self.bounds == other.bounds
+        if isinstance(other, list):
+            return len(other) == self._count and list(self) == other
+        return NotImplemented
+
+
 def _collector_paused(kernel):
     """``kernel`` with the collector off while it runs; on return or raise
     the collector is turned back on only if it was on at entry."""
@@ -75,9 +119,8 @@ def _collector_paused(kernel):
 
 @_collector_paused
 def enumerate_nodes(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic;
-    a node's index is its position in this list."""
-    return list(itertools.product(*(range(m + 1) for m in bounds)))
+    """``Nodes(bounds)`` as a list of tuples."""
+    return list(Nodes(bounds))
 
 
 def _strides(bounds: tuple[int, ...]) -> list[int]:

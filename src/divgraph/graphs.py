@@ -3,10 +3,12 @@
 A graph is built from a tuple of exponent bounds (a prime signature, in any
 coordinate order).  Nodes are all exponent vectors below the bounds, in
 lexicographic order; node 0 is the all-zero source and the last node is the
-sink.  Two kinds are supported: the Hasse diagram (covering relation, arcs
-raise one coordinate by one) and the transitive closure (every dominated
-pair).  Arcs are stored as ``kernels.Arcs``: one ascending list of heads per
-tail, with no tuple per arc.  Graphs are immutable once built.
+sink.  A built graph holds its nodes as ``kernels.Nodes``, a read-only view
+over the bounds with no tuple kept per node.  Two kinds are supported: the
+Hasse diagram (covering relation, arcs raise one coordinate by one) and the
+transitive closure (every dominated pair).  Arcs are stored as
+``kernels.Arcs``: one ascending list of heads per tail, with no tuple per
+arc.  Graphs are immutable once built.
 ``level_profile`` reads everything the oracle needs from a Hasse diagram
 (levels, per-level counts, degrees, longest distances from the source and
 the level steps across arcs) in one pass over its rows, once per graph.
@@ -15,6 +17,7 @@ the level steps across arcs) in one pass over its rows, once per graph.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -39,11 +42,13 @@ class DivisorGraph:
     """Nodes in lexicographic order, so every arc goes from a lower index to
     a higher one; ``arcs.rows[i]`` holds node i's heads, ascending.  The
     oracle's passes over the rows rely on that order: all arcs into a node
-    come before any arc out of it."""
+    come before any arc out of it.  ``build_graph`` stores the nodes as a
+    ``kernels.Nodes`` view, equal to the list of exponent tuples; a
+    hand-built graph may pass that list itself."""
 
     signature: tuple[int, ...]
     kind: GraphKind
-    nodes: list[ExponentVector] = field(repr=False)
+    nodes: Sequence[ExponentVector] = field(repr=False)
     arcs: kernels.Arcs = field(repr=False)
 
     @property
@@ -126,9 +131,8 @@ def build_graph(
         size = invariants.closure_size(bounds)
         if size > arc_budget:
             raise BudgetError(f"closure with {size} arcs exceeds arc budget {arc_budget}")
-    nodes = kernels.enumerate_nodes(bounds)
     arcs = kernels.hasse_arcs(bounds) if kind is GraphKind.HASSE else kernels.closure_arcs(bounds)
-    return DivisorGraph(signature=bounds, kind=kind, nodes=nodes, arcs=arcs)
+    return DivisorGraph(signature=bounds, kind=kind, nodes=kernels.Nodes(bounds), arcs=arcs)
 
 
 def level_profile(g: DivisorGraph) -> LevelProfile:
@@ -176,7 +180,7 @@ def to_json(g: DivisorGraph) -> str:
     """``json.dumps`` of the signature, kind and node tuples, with the arc
     pairs filled into one repeated template per row and joined in place of
     an empty arc array."""
-    head = json.dumps({"signature": g.signature, "kind": g.kind.value, "nodes": g.nodes, "arcs": []})
+    head = json.dumps({"signature": g.signature, "kind": g.kind.value, "nodes": list(g.nodes), "arcs": []})
     rows = [f"[{i}, %d], " * len(row) % tuple(row) for i, row in enumerate(g.arcs.rows) if row]
     if rows:
         rows[-1] = rows[-1][:-2]  # no separator after the last pair

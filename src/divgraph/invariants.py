@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 from divgraph.errors import BudgetError
 from divgraph.signatures import PrimeSignature, as_signature, checked
 
-DEFAULT_OMEGA_BUDGET = 40
+DEFAULT_OMEGA_BUDGET = 62  # the largest Omega of any n <= 2^63 - 1, so every such n answers
 
 
 def _order(sig: PrimeSignature) -> int:

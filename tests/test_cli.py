@@ -181,7 +181,13 @@ class TestInvariants:
         code, out, err = run(capsys, "invariants", "--sig", "3000000")
         assert time.perf_counter() - start < 2.0
         assert (code, out) == (1, "")
-        assert "Omega 3000000 exceeds omega budget 40" in err
+        assert "Omega 3000000 exceeds omega budget 62" in err
+
+    def test_every_64_bit_n_fits_the_default_omega_budget(self, capsys):
+        # 2^62 has the largest Omega of any n below 2^63
+        code, out, err = run(capsys, "invariants", "--n", str(2**62))
+        assert (code, err) == (0, "")
+        assert "PT = 2305843009213693952\n" in out
 
     def test_bad_signature_syntax(self, capsys):
         code, _, err = run(capsys, "invariants", "--sig", "2.x.1")
@@ -313,7 +319,7 @@ class TestGraph:
         def refuse(bounds):
             raise AssertionError("built a graph over the arc budget")
 
-        monkeypatch.setattr(kernels, "enumerate_nodes", refuse)
+        monkeypatch.setattr(kernels, "Nodes", refuse)
         monkeypatch.setattr(kernels, "closure_arcs", refuse)
         # 2^19 nodes pass the node budget; the closure has 3^19 - 2^19 arcs
         code, out, err = run(capsys, "graph", "--sig", ".".join(["1"] * 19), "--kind", "closure")

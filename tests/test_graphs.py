@@ -1,5 +1,6 @@
 """Explicit graph construction, level profiles, and serialization."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -18,6 +19,7 @@ from divgraph.graphs import (
     to_dot,
     to_json,
 )
+from divgraph.oracle import measure, verify_structure
 from divgraph.signatures import factorize
 
 from _corpus import oracle_corpus
@@ -230,6 +232,29 @@ class TestSerialization:
         g = build_graph(bounds, kind)
         assert to_dot(g) == to_dot_by_lines(g)
         assert to_json(g) == to_json_by_lists(g)
+
+    def test_no_reader_lists_the_nodes(self, monkeypatch):
+        # a built graph holds a view over its bounds, and nothing from the
+        # build through the oracle and both serializers lists its nodes
+        def refuse(bounds):
+            raise AssertionError("listed the nodes")
+
+        monkeypatch.setattr(kernels, "enumerate_nodes", refuse)
+        g = build_graph((2, 2, 1), GraphKind.HASSE)
+        gT = build_graph((2, 2, 1), GraphKind.CLOSURE)
+        assert measure(g, gT).order == 18
+        assert verify_structure(g).all_ok
+        for graph in (g, gT):
+            assert to_dot(graph) and to_json(graph)
+
+    def test_a_node_list_reads_as_the_view(self):
+        g, gT = (build_graph((2, 2, 1), kind) for kind in (GraphKind.HASSE, GraphKind.CLOSURE))
+        listed, listedT = (dataclasses.replace(x, nodes=list(x.nodes)) for x in (g, gT))
+        assert measure(listed, listedT) == measure(g, gT)
+        for view, plain in ((g, listed), (gT, listedT)):
+            assert type(plain.nodes) is list
+            assert to_dot(plain) == to_dot(view)
+            assert to_json(plain) == to_json(view)
 
     @pytest.mark.parametrize("serialize", [to_dot, to_json])
     def test_serializer_allocates_little_beyond_its_output(self, serialize):

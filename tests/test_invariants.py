@@ -410,9 +410,32 @@ class TestHeightAndBundle:
     def test_omega_budget_checked_first(self):
         # no level list of 10^9 entries and no factorial of 10^9 is built
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match="Omega 1000000000 exceeds omega budget 40"):
+        with pytest.raises(BudgetError, match="Omega 1000000000 exceeds omega budget 62"):
             all_invariants((10**9,))
         assert time.perf_counter() - start < 1.0
+
+    def test_every_64_bit_class_answers_at_the_default_budget(self):
+        # a DFS over parts m_1 >= m_2 >= ..., the k-th part on the k-th
+        # prime, that stops once the least integer passes 2^63 - 1
+        limit, primes = 2**63 - 1, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        classes, stack = [], [((), 1)]
+        while stack:
+            sig, value = stack.pop()
+            classes.append(sig)
+            p, top = primes[len(sig)], sig[-1] if sig else 63
+            for m in range(1, top + 1):
+                value_m = value * p**m
+                if value_m > limit:
+                    break
+                stack.append(((*sig, m), value_m))
+        over = [sig for sig in classes if sum(sig) > 40]
+        assert (len(classes), len(over), max(map(sum, over))) == (43_607, 6_825, 62)
+        # the classes are closed under dropping the smallest part, so the
+        # PT column, which checks the default budget too, covers them all
+        column = dict(zip(classes, invariants.COLUMNS["PT"](classes)))
+        for sig in over:
+            record = all_invariants(sig)
+            assert (record.big_omega, record.closure_paths) == (sum(sig), column[sig])
 
     @pytest.mark.parametrize("sig", [(), (1,), (2, 3, 1), (1,) * 300])
     def test_one_level_fold_per_record(self, sig, monkeypatch):

@@ -168,6 +168,26 @@ def test_pure_enumeration_is_lexicographic():
     assert len(nodes) == 6
 
 
+@pytest.mark.parametrize("bounds", [(), *COMPOSITIONS, *LARGE_BOUNDS], ids=str)
+def test_node_view_is_the_node_list(bounds):
+    view, nodes = kernels.Nodes(bounds), kernels.enumerate_nodes(bounds)
+    n = len(nodes)
+    assert list(view) == list(view) == nodes  # each iteration starts anew
+    assert len(view) == n
+    assert [view[i] for i in range(n)] == nodes
+    assert [view[i - n] for i in range(n)] == nodes
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view[:-1] == nodes[:-1] and view[::3] == nodes[::3]
+    assert type(view[:-1]) is list
+    assert view == nodes and nodes == view
+    assert not (view != nodes or nodes != view)
+    for other in (nodes[:-1], [*nodes[:-1], None]):  # a shorter list, an equally long one
+        assert view != other and other != view
+        assert not (view == other or other == view)
+
+
 def test_hasse_build_allocates_one_node_list():
     # build_graph keeps one node list; the Hasse kernel builds no node
     # tuples, only a list of node indices whose ints the rows keep, so what
