@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Subcommands: invariants, sequence, graph, compare, conjectures.  Each
-budget comes from its flag, else from the environment (DIVGRAPH_NODE_BUDGET,
-DIVGRAPH_ARC_BUDGET, DIVGRAPH_OMEGA_BUDGET), else from the library default.
-The arc budget bounds the arcs of a ``graph --kind closure`` and is checked
-before the closure is built.  One fixed size budget, ``SIZE_BUDGET`` in
+budget comes from its flag, else from the library default.  The arc budget
+bounds the arcs of a ``graph --kind closure`` and is checked before the
+closure is built.  One fixed size budget, ``SIZE_BUDGET`` in
 ``divgraph.signatures``, bounds ``--count``, ``--max-n``, ``--colex-count``
 and the number of signatures that ``--max-omega`` covers; it is checked
 before any sieve or signature list is made.  A conjecture 1 scan builds one
@@ -29,8 +28,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from divgraph import __version__, graphs, invariants, sequences
 from divgraph import conjectures as conj
-from divgraph import graphs, invariants, sequences
 from divgraph.errors import BudgetError
 from divgraph.kernels import active_backend
 from divgraph.signatures import (
@@ -47,23 +46,14 @@ from divgraph.signatures import (
 )
 
 
-def _budget(flag: Optional[int], name: str, default: int) -> int:
-    """The flag value if given, else the environment variable, else default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}") from None
-
-
 def _add_target_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="positive integer to analyze")
     group.add_argument("--sig", type=str, help="exponent tuple, dot-separated (e.g. 2.3.1; 0 for n=1)")
+
+
+def _add_budget_flag(parser: argparse.ArgumentParser, flag: str, default: int) -> None:
+    parser.add_argument(flag, type=int, default=default, help="default %(default)s")
 
 
 def _resolve_target(args: argparse.Namespace) -> tuple[tuple[int, ...], Optional[int]]:
@@ -120,10 +110,7 @@ def _no_int_digit_limit():
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     bounds, n = _resolve_target(args)
-    omega_budget = _budget(
-        args.omega_budget, "DIVGRAPH_OMEGA_BUDGET", invariants.DEFAULT_OMEGA_BUDGET
-    )
-    record = invariants.all_invariants(bounds, omega_budget=omega_budget)
+    record = invariants.all_invariants(bounds, omega_budget=args.omega_budget)
     values = dict(zip((key for key, *_ in invariants.TABLE), record))
     key = signature_key(tuple(sorted(bounds, reverse=True)))
     if n is not None:
@@ -150,9 +137,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     bounds, _ = _resolve_target(args)
     kind = graphs.GraphKind(args.kind)
-    node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
-    arc_budget = _budget(args.arc_budget, "DIVGRAPH_ARC_BUDGET", graphs.DEFAULT_ARC_BUDGET)
-    g = graphs.build_graph(bounds, kind, node_budget=node_budget, arc_budget=arc_budget)
+    g = graphs.build_graph(bounds, kind, node_budget=args.node_budget, arc_budget=args.arc_budget)
     if args.format == "dot":
         _write_out(graphs.to_dot(g), args.out)
     else:  # the newline goes on its own, not by a copy of the JSON with it appended
@@ -161,16 +146,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    # exit 1 is reserved for a value mismatch; every failure to compare is 2
-    try:
-        table = sequences.generate(args.inv, sequences.Ordering(args.order), args.count)
-        with open(args.bfile, "rb") as fh:
-            reference = fh.read()
-        report = sequences.compare_bfile(table, reference)
-        _write_out(json.dumps(report.to_dict()) + "\n", args.out)
-    except (OSError, ValueError, BudgetError) as exc:  # BFileFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    table = sequences.generate(args.inv, sequences.Ordering(args.order), args.count)
+    with open(args.bfile, "rb") as fh:
+        reference = fh.read()
+    report = sequences.compare_bfile(table, reference)
+    _write_out(json.dumps(report.to_dict()) + "\n", args.out)
     return 0 if report.full_match else 1
 
 
@@ -197,13 +177,12 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         check_size("--colex-count", args.colex_count)
         sigs = enumerate_signatures(SignatureOrder.GRADED_COLEX, args.colex_count)
         scope = f"first {args.colex_count} graded-colex signatures"
-    node_budget = _budget(args.node_budget, "DIVGRAPH_NODE_BUDGET", graphs.DEFAULT_NODE_BUDGET)
-    if args.id == 1 and (nodes := sum(map(invariants.order, sigs))) > node_budget:
+    if args.id == 1 and (nodes := sum(map(invariants.order, sigs))) > args.node_budget:
         raise BudgetError(
             f"--max-omega {args.max_omega} builds {nodes} nodes in all,"
-            f" more than the node budget {node_budget}"
+            f" more than the node budget {args.node_budget}"
         )
-    report = conj.scan(args.id, sigs, node_budget=node_budget, scope=scope)
+    report = conj.scan(args.id, sigs, node_budget=args.node_budget, scope=scope)
     _write_out(report.to_json() + "\n", args.out)
     return 0 if report.ok else 3
 
@@ -216,15 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="divgraph",
         description="Divisor-lattice graphs, their invariants, and integer sequences.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s ({active_backend()} kernels)"
-    )
+    version = f"%(prog)s {__version__} ({active_backend()} kernels)"
+    parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("invariants", help="all fourteen invariants of one n or signature")
     _add_target_flags(p_inv)
     p_inv.add_argument("--format", choices=["text", "json"], default="text")
-    p_inv.add_argument("--omega-budget", type=int, default=None)
+    _add_budget_flag(p_inv, "--omega-budget", invariants.DEFAULT_OMEGA_BUDGET)
     p_inv.add_argument("--out", type=str, default=None)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -240,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_flags(p_graph)
     p_graph.add_argument("--kind", choices=[k.value for k in graphs.GraphKind], default="hasse")
     p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
-    p_graph.add_argument("--node-budget", type=int, default=None)
-    p_graph.add_argument("--arc-budget", type=int, default=None)
+    _add_budget_flag(p_graph, "--node-budget", graphs.DEFAULT_NODE_BUDGET)
+    _add_budget_flag(p_graph, "--arc-budget", graphs.DEFAULT_ARC_BUDGET)
     p_graph.add_argument("--out", type=str, default=None)
     p_graph.set_defaults(func=cmd_graph)
 
@@ -251,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--count", type=int, default=50, help=_SIZE_HELP.format("number of entries"))
     p_cmp.add_argument("--bfile", required=True, help="path to the reference b-file")
     p_cmp.add_argument("--out", type=str, default=None)
-    p_cmp.set_defaults(func=cmd_compare)
+    # exit 1 is reserved for a value mismatch; every failure to compare is 2
+    p_cmp.set_defaults(func=cmd_compare, failure=2)
 
     p_conj = sub.add_parser("conjectures", help="scan a conjecture for counterexamples")
     p_conj.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
@@ -268,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--colex-count", type=int, default=200,
         help=_SIZE_HELP.format("id 3: the first COLEX_COUNT graded-colex signatures"),
     )
-    p_conj.add_argument("--node-budget", type=int, default=None)
+    _add_budget_flag(p_conj, "--node-budget", graphs.DEFAULT_NODE_BUDGET)
     p_conj.add_argument("--out", type=str, default=None)
     p_conj.set_defaults(func=cmd_conjectures)
 
@@ -285,9 +264,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BudgetError) as exc:
+    except (OSError, ValueError, BudgetError) as exc:  # BFileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(args, "failure", 1)
 
 
 if __name__ == "__main__":

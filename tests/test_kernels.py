@@ -188,10 +188,11 @@ def test_node_view_is_the_node_list(bounds):
         assert not (view == other or other == view)
 
 
-def test_hasse_build_allocates_one_node_list():
-    # build_graph keeps one node list; the Hasse kernel builds no node
-    # tuples, only a list of node indices whose ints the rows keep, so what
-    # the build frees again is small
+def test_hasse_build_transient_bytes_under_a_quarter_node_list():
+    # what a Hasse build allocates and frees again (its peak less what the
+    # graph keeps) stays under a quarter of a node list's bytes: the kernel
+    # builds no node tuples, only a list of node indices whose ints the rows
+    # keep
     bounds = (19, 14, 9)
     tracemalloc.start()
     try:
