@@ -12,11 +12,11 @@ one int.  A closure tail's heads are its up-set, built by shifting the
 up-sets of the later coordinates, one comprehension per coordinate value;
 list slicing and concatenation copy the shifted ints into the rows.
 
-Each kernel runs with the cyclic garbage collector paused: the lists and
-tuples it builds hold only ints and can form no cycle, yet the full
-collections that their allocations trigger would traverse them again and
-again (a Hasse diagram allocates one row list per node).  The collector
-is process-wide, so a concurrent caller may run paused too; no value
+Each arc kernel runs with the cyclic garbage collector paused: the lists
+it builds hold only ints and can form no cycle, yet the full collections
+that their allocations trigger would traverse them again and again (a
+Hasse diagram allocates one row list per node).  The collector is
+process-wide, so a concurrent caller may run paused too; no value
 depends on it.
 """
 
@@ -117,7 +117,6 @@ def _collector_paused(kernel):
     return paused
 
 
-@_collector_paused
 def enumerate_nodes(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """``Nodes(bounds)`` as a list of tuples."""
     return list(Nodes(bounds))

@@ -177,7 +177,7 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         check_size("--colex-count", args.colex_count)
         sigs = enumerate_signatures(SignatureOrder.GRADED_COLEX, args.colex_count)
         scope = f"first {args.colex_count} graded-colex signatures"
-    if args.id == 1 and (nodes := sum(map(invariants.order, sigs))) > args.node_budget:
+    if args.id == 1 and (nodes := sum(map(invariants._order, sigs))) > args.node_budget:
         raise BudgetError(
             f"--max-omega {args.max_omega} builds {nodes} nodes in all,"
             f" more than the node budget {args.node_budget}"

@@ -172,16 +172,6 @@ def checked(formula: Callable) -> Callable:
     return public
 
 
-def big_omega(parts: Iterable[int]) -> int:
-    """Number of prime factors counted with multiplicity (sum of exponents)."""
-    return sum(as_signature(parts))
-
-
-def small_omega(parts: Iterable[int]) -> int:
-    """Number of distinct prime factors (count of exponents)."""
-    return len(as_signature(parts))
-
-
 def partitions_of(k: int) -> list[PrimeSignature]:
     """All partitions of ``k`` as descending tuples, in descending lexicographic order.
 

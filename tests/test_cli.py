@@ -584,6 +584,15 @@ class TestConjectures:
             " more than the node budget 1000000\n"
         )
 
+    def test_node_budget_sum_checks_no_signature(self, capsys, signature_checks):
+        # the 99 132 signatures are canonical tuples from enumerate_signatures
+        code, out, err = run(capsys, "conjectures", "--id", "1", "--max-omega", "36")
+        assert (code, out, signature_checks) == (1, "", [])
+        assert err == (
+            "error: --max-omega 36 builds 2461288716936 nodes in all,"
+            " more than the node budget 1000000\n"
+        )
+
     @pytest.mark.parametrize("budget", [495, 496], ids=["495-flag", "496-flag"])
     def test_node_budget_bounds_the_summed_order(self, capsys, budget):
         # the Hasse diagrams of the 29 signatures with Omega <= 6 have 496 nodes in all

@@ -25,7 +25,7 @@ from divgraph.invariants import (
     width_arcs,
     width_nodes,
 )
-from divgraph.signatures import big_omega, least_integer, partitions_of, small_omega
+from divgraph.signatures import least_integer, partitions_of
 
 from _corpus import oracle_corpus, small_corpus
 from _reference import (
@@ -58,8 +58,6 @@ def _graph_size(parts):
 PUBLIC = {
     "order": order,
     "hasse_size": hasse_size,
-    "big_omega": big_omega,
-    "small_omega": small_omega,
     "width_nodes": width_nodes,
     "width_arcs": width_arcs,
     "degree": degree,
@@ -405,7 +403,7 @@ class TestClosurePaths:
 class TestHeightAndBundle:
     @pytest.mark.parametrize("sig,expected", [((2, 1), 3), ((), 0), ((5,), 5)])
     def test_height(self, sig, expected):
-        assert big_omega(sig) == expected
+        assert all_invariants(sig).big_omega == expected
 
     def test_omega_budget_checked_first(self):
         # no level list of 10^9 entries and no factorial of 10^9 is built

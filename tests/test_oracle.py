@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divgraph.graphs import DivisorGraph, GraphKind, build_graph, level_profile
+from divgraph.graphs import DEFAULT_ARC_BUDGET, DivisorGraph, GraphKind, build_graph, level_profile
 from divgraph.invariants import InvariantRecord, all_invariants
 from divgraph.kernels import Arcs
 from divgraph.oracle import count_paths, measure, verify_structure
@@ -148,6 +148,14 @@ class TestMeasure:
     def test_equals_formulas_on_small_corpus(self):
         for sig in small_corpus(8):
             assert measure(*_pair(sig)) == all_invariants(sig), sig
+
+    def test_equals_formulas_at_the_arc_budget_edge(self):
+        # the largest closure that the default arc budget lets the CLI build
+        sig = (11, 10, 7, 2, 1, 1)
+        g, gT = _pair(sig)
+        assert len(gT.arcs) == 9_995_040 <= DEFAULT_ARC_BUDGET
+        assert measure(g, gT) == all_invariants(sig)
+        assert verify_structure(g).all_ok
 
 
 class TestVerifyStructure:
