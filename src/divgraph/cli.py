@@ -35,10 +35,10 @@ from divgraph.kernels import active_backend
 from divgraph.signatures import (
     SIZE_BUDGET,
     SignatureOrder,
+    _least_integer,
     check_size,
     enumerate_signatures,
     factorize,
-    least_integer,
     natural_classes,
     parse_signature_key,
     partition_count,
@@ -112,12 +112,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     bounds, n = _resolve_target(args)
     record = invariants.all_invariants(bounds, omega_budget=args.omega_budget)
     values = dict(zip((key for key, *_ in invariants.TABLE), record))
-    key = signature_key(tuple(sorted(bounds, reverse=True)))
+    sig = tuple(sorted(bounds, reverse=True))
     if n is not None:
-        extras = {"height": record.big_omega, "n": n, "signature": key}
+        extras = {"height": record.big_omega, "n": n, "signature": signature_key(sig)}
     else:
-        li = least_integer(bounds)
-        extras = {"height": record.big_omega, "signature": key, "LI": li}
+        extras = {"height": record.big_omega, "signature": signature_key(sig), "LI": _least_integer(sig)}
     with _no_int_digit_limit():  # LI, PH and PT may pass the limit
         if args.format == "json":
             text = json.dumps({**values, **extras}) + "\n"
@@ -166,6 +165,11 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
                     f" more than the size budget {SIZE_BUDGET}"
                 )
         sigs = enumerate_signatures(SignatureOrder.CANONICAL, size + 1)[1:]
+        if (nodes := sum(map(invariants._order, sigs))) > args.node_budget:
+            raise BudgetError(
+                f"--max-omega {args.max_omega} builds {nodes} nodes in all,"
+                f" more than the node budget {args.node_budget}"
+            )
         scope = f"all signatures with 1 <= Omega <= {args.max_omega}"
     elif args.id == 2:
         _check_positive("--max-n", args.max_n)
@@ -177,11 +181,6 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         check_size("--colex-count", args.colex_count)
         sigs = enumerate_signatures(SignatureOrder.GRADED_COLEX, args.colex_count)
         scope = f"first {args.colex_count} graded-colex signatures"
-    if args.id == 1 and (nodes := sum(map(invariants._order, sigs))) > args.node_budget:
-        raise BudgetError(
-            f"--max-omega {args.max_omega} builds {nodes} nodes in all,"
-            f" more than the node budget {args.node_budget}"
-        )
     report = conj.scan(args.id, sigs, node_budget=args.node_budget, scope=scope)
     _write_out(report.to_json() + "\n", args.out)
     return 0 if report.ok else 3

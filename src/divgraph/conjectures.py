@@ -197,7 +197,7 @@ def scan(
         2: _middle_width_failure,
         3: _argmax_failure,
     }
-    if conjecture not in checks:
+    if isinstance(conjecture, bool) or conjecture not in checks:
         raise ValueError(f"unknown conjecture id {conjecture}")
     check = checks[conjecture]
     start = time.perf_counter()

@@ -128,7 +128,7 @@ def build_graph(
     if n > node_budget:
         raise BudgetError(f"graph on {n} nodes exceeds node budget {node_budget}")
     if kind is GraphKind.CLOSURE:
-        size = invariants.closure_size(bounds)
+        size = invariants._closure_size(bounds)
         if size > arc_budget:
             raise BudgetError(f"closure with {size} arcs exceeds arc budget {arc_budget}")
     arcs = kernels.hasse_arcs(bounds) if kind is GraphKind.HASSE else kernels.closure_arcs(bounds)

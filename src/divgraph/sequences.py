@@ -112,6 +112,8 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     any other row maps its formula over them, with no check per row.
     ``count`` is checked against the size budget before anything is made.
     """
+    if not isinstance(ordering, Ordering):
+        raise ValueError(f"unknown ordering {ordering!r}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     key = normalize_invariant(invariant)

@@ -27,27 +27,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture(scope="module")
-def closure_paths_memo():
-    """|P^T| by (signature, omega budget), kept for the whole module."""
-    return {}
-
-
-@pytest.fixture
-def shared_closure_paths(monkeypatch, closure_paths_memo):
-    """Route ``invariants.closure_paths`` through ``closure_paths_memo``, so
-    cases that differ only in output format compute a costly |P^T| once."""
-    compute = invariants.closure_paths
-
-    def memoized(parts, *, omega_budget=invariants.DEFAULT_OMEGA_BUDGET):
-        key = (tuple(parts), omega_budget)
-        if key not in closure_paths_memo:
-            closure_paths_memo[key] = compute(parts, omega_budget=omega_budget)
-        return closure_paths_memo[key]
-
-    monkeypatch.setattr(invariants, "closure_paths", memoized)
-
-
 class TestInvariants:
     def test_by_n(self, capsys):
         code, out, _ = run(capsys, "invariants", "--n", "12")
@@ -148,7 +127,6 @@ class TestInvariants:
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
     )
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.usefixtures("shared_closure_paths")
     def test_integers_past_the_digit_limit_print_exactly(self, capsys, fmt):
         limit = sys.get_int_max_str_digits()
         argv = ("invariants", "--sig", "14290", "--omega-budget", "20000", "--format", fmt)
@@ -442,6 +420,18 @@ class TestInProcess:
         assert run(capsys, "invariants", "--sig", "2.1", "--format", "json") == alone
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv, sig",
+        [
+            (("invariants", "--sig", "2.3.1"), (3, 2, 1)),
+            (("graph", "--sig", "2.1", "--kind", "closure"), (2, 1)),
+        ],
+        ids=["invariants", "closure"],
+    )
+    def test_one_signature_check_per_request(self, capsys, signature_checks, argv, sig):
+        assert run(capsys, *argv)[0] == 0
+        assert signature_checks == [sig]
 
 
 class TestBudgetFlags:

@@ -173,6 +173,16 @@ class TestMaxDisjointPaths:
                 "the arcs are not strictly increasing",
                 id="arcs-out-of-order",
             ),
+            # source heads 1, 3, 4, 7 give the steps 7, 4, 3, 1: chain 0 runs
+            # 0, 7, 11, 14, 15 and chain 1 reaches node 7 again as 4 + 3
+            pytest.param(
+                (1, 1, 1, 1),
+                lambda g: {
+                    "arcs": [(0, 1), (0, 3), (0, 4), (0, 7), (4, 7), (7, 11), (11, 14), (14, 15)]
+                },
+                "two chains share node 7",
+                id="chains-share-a-node",
+            ),
         ],
     )
     def test_tampered_graph_raises(self, bounds, tamper, message):
@@ -298,6 +308,8 @@ class TestScan:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             scan(7, [(1,)])
+        with pytest.raises(ValueError, match="unknown conjecture id True"):
+            scan(True, [(1,)])  # True == 1, but an id is never a bool
 
     def test_report_json_round_trip(self):
         report = scan(2, [(), (1,), (2, 2)], scope="demo")

@@ -70,6 +70,12 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="unknown graph kind 'hasse'"):
             build_graph(bounds, "hasse")
 
+    def test_two_builds_are_equal(self):
+        # the node views are equal by their bounds; two views are never one object
+        for kind in GraphKind:
+            assert build_graph((2, 1), kind) == build_graph((2, 1), kind)
+        assert kernels.Nodes((2, 1)) != kernels.Nodes((1, 2))
+
     def test_nodes_lexicographic(self):
         g = build_graph((1, 2), GraphKind.HASSE)
         assert g.nodes == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]

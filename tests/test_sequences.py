@@ -31,7 +31,7 @@ from divgraph.signatures import (
 )
 
 from _reference import compare_bfile_by_rows, emit_by_rows, parse_bfile_by_lines
-from fixtures.table_rows import CANONICAL_ROWS, COLEX_ROWS, NATURAL_ERRATA, NATURAL_ROWS
+from fixtures.table_rows import NATURAL_ERRATA, NATURAL_ROWS
 
 DATA = Path(__file__).parent / "data"
 
@@ -125,8 +125,9 @@ class TestInputChecks:
         [
             (lambda: generate("V", Ordering.CANONICAL, 0), "count must be positive, got 0"),
             (lambda: emit(generate("V", Ordering.CANONICAL, 3), "csv"), "unknown format 'csv'"),
+            (lambda: generate("V", "natural", 5), "unknown ordering 'natural'"),
         ],
-        ids=["generate-count-0", "emit-str-format"],
+        ids=["generate-count-0", "emit-str-format", "generate-str-ordering"],
     )
     def test_error_message(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -142,16 +143,6 @@ class TestFixtureRows:
         for i, (ours, printed) in enumerate(zip(computed, row)):
             expected = NATURAL_ERRATA.get((name, i + 1), printed)
             assert ours == expected, f"{name} at n={i + 1}: computed {ours}, printed {printed}"
-
-    @pytest.mark.parametrize("name", sorted(COLEX_ROWS))
-    def test_colex_rows(self, name):
-        row = COLEX_ROWS[name]
-        assert generate(name, Ordering.GRADED_COLEX, len(row)).values() == row
-
-    @pytest.mark.parametrize("name", sorted(CANONICAL_ROWS))
-    def test_canonical_rows(self, name):
-        row = CANONICAL_ROWS[name]
-        assert generate(name, Ordering.CANONICAL, len(row)).values() == row
 
 
 class TestEmit:
