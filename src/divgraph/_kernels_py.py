@@ -63,8 +63,8 @@ class Nodes(Sequence):
     """The exponent vectors v with 0 <= v[i] <= bounds[i], lexicographic, as
     a read-only sequence: a node's index is its position here.  It holds the
     bounds and the node count; iterating yields the tuples anew each time,
-    an item is found by mixed-radix ``divmod``, a slice is a list, and the
-    view compares equal to the list of the same tuples."""
+    an item is found by mixed-radix ``divmod``, a slice is a list of just its
+    items, and the view compares equal to the list of the same tuples."""
 
     __slots__ = ("bounds", "_count")
 
@@ -80,7 +80,7 @@ class Nodes(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(self)[i]
+            return [self[j] for j in range(*i.indices(self._count))]
         i = operator.index(i)
         if i < 0:
             i += self._count

@@ -11,6 +11,12 @@ Hasse diagram per signature, and the node budget bounds their summed order
 before the first is built.  All numeric output is full decimal, however
 many digits it has.
 
+A request whose first argument names a command is parsed once, by that
+command's own parser, to what the top-level parser's ``parse_args`` would
+give.  The top-level parser parses only what the top level owns (no
+arguments, ``-h``, ``--version``, a name that is not a command) and reports
+any arguments that the command's parser leaves over.
+
 Exit codes: 0 success; 1 an error (bad input, budget exceeded, an --out
 or a stdout that cannot be written, as when a pipe's reader has exited)
 or, for compare, a value mismatch; 2 a command-line usage error or, for
@@ -189,7 +195,10 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
 _SIZE_HELP = f"{{}}; at most {SIZE_BUDGET} (the size budget)"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, whose ``parse_args`` parses any command line, and
+    its command table: each command's own parser by name, as the subparsers
+    action holds them."""
     parser = argparse.ArgumentParser(
         prog="divgraph",
         description="Divisor-lattice graphs, their invariants, and integer sequences.",
@@ -250,17 +259,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--out", type=str, default=None)
     p_conj.set_defaults(func=cmd_conjectures)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process; parsing leaves no state on it."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command table, built once per process;
+    parsing leaves no state on either.  ``_parse`` hands a request whose
+    first argument is a command name straight to that command's parser, and
+    every other request to the top-level parser."""
     return build_parser()
 
 
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The namespace, exit and output of ``build_parser()[0].parse_args(argv)``,
+    with the top-level parser's scan of the whole argv left out when
+    ``argv[0]`` is a command name.  That scan can refuse an argument of the
+    form ``-x=y`` as an ambiguous abbreviation of a top-level option, so such
+    a request goes through the top-level parser too."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(a[:1] == "-" and "=" in a for a in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, BudgetError) as exc:  # BFileFormatError is a ValueError

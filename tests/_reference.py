@@ -17,7 +17,9 @@ recursion instead of from earlier partition grades, or row by row through
 ``(tail, head)`` pairs.
 ``to_dot_by_lines`` and ``to_json_by_lists`` serialize a graph with one
 string or one list per node and per arc, to check the library's output
-byte for byte.
+byte for byte.  ``parse_by_top_level_parser`` parses a command line by the
+top-level parser, which hands the arguments after the command name on to
+the command's parser, instead of by the command's parser alone.
 """
 
 import csv
@@ -30,6 +32,7 @@ from operator import add, sub
 from typing import Optional
 
 from divgraph._kernels_py import _strides, enumerate_nodes
+from divgraph.cli import build_parser
 from divgraph.conjectures import DisjointMode
 from divgraph.errors import BFileFormatError
 from divgraph.graphs import DivisorGraph, GraphKind
@@ -547,3 +550,10 @@ def compare_bfile_by_rows(table: SequenceTable, reference: bytes) -> MatchReport
         matched_prefix=matched,
         first_mismatch=mismatch,
     )
+
+
+def parse_by_top_level_parser(argv):
+    """The namespace of ``argv`` (``sys.argv[1:]`` if None) as the top-level
+    parser of ``build_parser`` parses it."""
+    parser, _ = build_parser()
+    return parser.parse_args(argv)

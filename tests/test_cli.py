@@ -1,6 +1,5 @@
 """Subcommand behavior, exit codes, and output determinism."""
 
-import argparse
 import io
 import json
 import os
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from _reference import parse_by_top_level_parser
 
 import divgraph
 from divgraph import cli, conjectures, graphs, invariants, kernels, sequences, signatures
@@ -475,10 +475,8 @@ class TestBudgetFlags:
         ],
     )
     def test_flag_defaults_to_the_library_constant(self, capsys, sub, flag, default):
-        parser = cli.build_parser()
-        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        (action,) = [a for a in subparsers.choices[sub]._actions if flag in a.option_strings]
-        assert action.default == default
+        _, commands = cli._parser()
+        assert commands[sub].get_default(flag[2:].replace("-", "_")) == default
         with pytest.raises(SystemExit) as excinfo:
             main([sub, "--help"])
         assert excinfo.value.code == 0
@@ -709,10 +707,11 @@ class TestSizeBudget:
                       ("conjectures", "--max-omega")]
     )
     def test_help_names_the_budget(self, sub, flag):
-        parser = cli.build_parser()
-        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        (action,) = [a for a in subparsers.choices[sub]._actions if flag in a.option_strings]
-        assert f"at most {SIZE_BUDGET}" in action.help and "(the size budget)" in action.help
+        _, commands = cli._parser()
+        text = " ".join(commands[sub].format_help().split())
+        # the option's own entry: "--count COUNT help...", up to the next option
+        entry = text.split(f" {flag} {flag[2:].replace('-', '_').upper()} ", 1)[1].split(" --", 1)[0]
+        assert f"at most {SIZE_BUDGET}" in entry and "(the size budget)" in entry
 
 
 # --- random command lines ----------------------------------------------------
@@ -810,3 +809,44 @@ class TestRandomCommandLines:
         assert time.perf_counter() - start < 10.0, argv
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+
+def _parsed(parse, argv):
+    """What parsing ``argv`` gives: the namespace's attributes or the exit
+    code, with everything written to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:  # usage errors, --help and --version
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParseRoute:
+    """``main`` parses a command line as the top-level parser alone would."""
+
+    EDGE_CASES = [
+        [], ["-h"], ["--version"], ["bogus"],
+        ["invariants"], ["invariants", "-h"], ["invariants", "--n", "5", "extra"],
+        ["invariants", "--", "--n", "5"],
+        ["graph", "--sig", "1", "--version"], ["invariants", "--form", "json", "--n", "6"],
+        ["--version", "invariants"], ["invariants", "--n", "5", "--n", "6"], ["invariants", "--n"],
+        # the top-level parser refuses "--=x" as an abbreviation of both --help and --version
+        ["invariants", "--n", "5", "--=x"], ["invariants", "--n=5"], ["graph", "--sig=1", "-h"],
+        ["-h", "invariants"], ["invariants", "--n", "5", "-h", "--ver"],
+    ]
+
+    @pytest.mark.parametrize("argv", EDGE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_edge_case(self, argv):
+        assert _parsed(cli._parse, argv) == _parsed(parse_by_top_level_parser, argv)
+
+    @pytest.mark.parametrize("argv", [[], ["graph", "--sig", "2.1"], ["invariants", "--n", "5", "x"]], ids=str)
+    def test_sys_argv(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["divgraph", *argv])
+        assert _parsed(cli._parse, None) == _parsed(parse_by_top_level_parser, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argvs)
+    def test_random_command_line(self, argv):
+        assert _parsed(cli._parse, argv) == _parsed(parse_by_top_level_parser, argv)

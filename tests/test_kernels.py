@@ -188,6 +188,25 @@ def test_node_view_is_the_node_list(bounds):
         assert not (view == other or other == view)
 
 
+@pytest.mark.parametrize("bounds", [(), (3,), (2, 0, 1), (1, 3), (1, 1, 2)], ids=str)
+def test_node_slice_is_the_list_slice(bounds):
+    view = kernels.Nodes(bounds)
+    nodes = list(view)
+    n = len(nodes)
+    ends = [None, *range(-n - 2, n + 3)]  # negative, empty and past either end
+    for start, stop, step in itertools.product(ends, ends, [None, 1, 2, 5, -1, -2, -7]):
+        s = slice(start, stop, step)
+        assert view[s] == nodes[s], s
+
+
+def test_node_slice_builds_only_its_items():
+    # 2^40 nodes: a slice that built the whole list first would never return
+    view = kernels.Nodes((1,) * 40)
+    assert view[-2:] == [(1,) * 39 + (0,), (1,) * 40]
+    assert view[3:0:-2] == [(0,) * 38 + (1, 1), (0,) * 39 + (1,)]
+    assert view[2**40 : 2**41] == []
+
+
 def test_hasse_build_transient_bytes_under_a_quarter_node_list():
     # what a Hasse build allocates and frees again (its peak less what the
     # graph keeps) stays under a quarter of a node list's bytes: the kernel

@@ -184,8 +184,22 @@ class TestVerifyStructure:
             # one more arc leaving level 1 and one more leaving level 2, each
             # raising a degree past two
             ((2, 2), [], [], [((0, 1), (2, 0)), ((0, 2), (2, 1))], ["degree_bounds"]),
+            # (1, 1) -> (1, 2) becomes (0, 2) -> (2, 1), still from level 2 to
+            # level 3: (2, 1) gets a third arc in, no node more than two out
+            ((2, 2), [], [((1, 1), (1, 2))], [((0, 2), (2, 1))], ["degree_bounds"]),
+            # (1, 0) -> (1, 1) becomes (0, 1) -> (2, 0), still from level 1 to
+            # level 2: (0, 1) gets a third arc out, no node more than two in
+            ((2, 2), [], [((1, 0), (1, 1))], [((0, 1), (2, 0))], ["degree_bounds"]),
         ],
-        ids=["dropped-arc", "level-skipping-arc", "dropped-node", "dropped-node-pair", "extra-arcs"],
+        ids=[
+            "dropped-arc",
+            "level-skipping-arc",
+            "dropped-node",
+            "dropped-node-pair",
+            "extra-arcs",
+            "in-degree-only",
+            "out-degree-only",
+        ],
     )
     def test_tampering_fails_exactly_these_claims(self, sig, gone, drop, add, failing):
         g = build_graph(sig, GraphKind.HASSE)
