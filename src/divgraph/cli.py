@@ -11,11 +11,15 @@ Hasse diagram per signature, and the node budget bounds their summed order
 before the first is built.  All numeric output is full decimal, however
 many digits it has.
 
-A request whose first argument names a command is parsed once, by that
-command's own parser, to what the top-level parser's ``parse_args`` would
-give.  The top-level parser parses only what the top level owns (no
-arguments, ``-h``, ``--version``, a name that is not a command) and reports
-any arguments that the command's parser leaves over.
+A request is parsed one of two ways, to the namespace that the top-level
+parser's ``parse_args`` would give.  A plain request is a command name and
+then ``flag value`` pairs: each flag one of that command's options, spelled
+in full and given once, no value starting with "-", each value of its
+option's type and among its choices, every required option given, and one
+of --n and --sig where the command takes them.  The command's parser reads
+it from its own declarations, without running argparse.  Every other
+request (help, ``--version``, an abbreviated flag, a ``--flag=value``, a
+``--``, any usage error) goes to the top-level parser.
 
 Exit codes: 0 success; 1 an error (bad input, budget exceeded, an --out
 or a stdout that cannot be written, as when a pipe's reader has exited)
@@ -52,14 +56,67 @@ from divgraph.signatures import (
 )
 
 
-def _add_target_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="positive integer to analyze")
-    group.add_argument("--sig", type=str, help="exponent tuple, dot-separated (e.g. 2.3.1; 0 for n=1)")
+class _Command(argparse.ArgumentParser):
+    """One command's parser, which keeps what it declares so that ``read``
+    can parse a plain request without running argparse: the ``Action`` that
+    ``add_argument`` returns for each store option, the --n/--sig pair of
+    ``target``'s required group, and the ``set_defaults`` values."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.options: dict[str, argparse.Action] = {}
+        self.one_of: tuple[argparse.Action, ...] = ()
+        self.set_values: dict[str, object] = {}
+
+    def option(self, flag: str, *, group=None, **kwargs) -> argparse.Action:
+        """Declare a store option, a flag that takes one value, on this
+        parser or on one of its groups."""
+        action = self.options[flag] = (self if group is None else group).add_argument(flag, **kwargs)
+        return action
+
+    def target(self) -> None:
+        """Declare --n and --sig, exactly one of which a request gives."""
+        group = self.add_mutually_exclusive_group(required=True)
+        self.one_of = (
+            self.option("--n", group=group, type=int, help="positive integer to analyze"),
+            self.option("--sig", group=group, type=str, help="exponent tuple, dot-separated (e.g. 2.3.1; 0 for n=1)"),
+        )
+
+    def set_defaults(self, **kwargs) -> None:
+        super().set_defaults(**kwargs)
+        self.set_values.update(kwargs)
+
+    def read(self, pairs: list[str]) -> Optional[argparse.Namespace]:
+        """The namespace that ``parse_args(pairs)`` gives, when ``pairs`` are
+        ``flag value`` pairs in which each flag is one of the store options,
+        spelled in full and given once, no value starts with "-", the
+        option's type takes each value and gives one of its choices, every
+        required option is given and exactly one of --n/--sig where the
+        command takes them; else None, for argparse to parse or refuse."""
+        if len(pairs) % 2:
+            return None
+        given = {}
+        for flag, value in zip(pairs[::2], pairs[1::2]):
+            action = self.options.get(flag)
+            if action is None or action.dest in given or value[:1] == "-":
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action.dest] = value
+        if any(a.required and a.dest not in given for a in self.options.values()):
+            return None
+        if self.one_of and sum(a.dest in given for a in self.one_of) != 1:
+            return None
+        defaults = {a.dest: a.default for a in self.options.values()}
+        return argparse.Namespace(**{**defaults, **self.set_values, **given})
 
 
-def _add_budget_flag(parser: argparse.ArgumentParser, flag: str, default: int) -> None:
-    parser.add_argument(flag, type=int, default=default, help="default %(default)s")
+def _add_budget_flag(parser: _Command, flag: str, default: int) -> None:
+    parser.option(flag, type=int, default=default, help="default %(default)s")
 
 
 def _resolve_target(args: argparse.Namespace) -> tuple[tuple[int, ...], Optional[int]]:
@@ -195,7 +252,7 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
 _SIZE_HELP = f"{{}}; at most {SIZE_BUDGET} (the size budget)"
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     """The top-level parser, whose ``parse_args`` parses any command line, and
     its command table: each command's own parser by name, as the subparsers
     action holds them."""
@@ -205,86 +262,85 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     version = f"%(prog)s {__version__} ({active_backend()} kernels)"
     parser.add_argument("--version", action="version", version=version)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     p_inv = sub.add_parser("invariants", help="all fourteen invariants of one n or signature")
-    _add_target_flags(p_inv)
-    p_inv.add_argument("--format", choices=["text", "json"], default="text")
+    p_inv.target()
+    p_inv.option("--format", choices=["text", "json"], default="text")
     _add_budget_flag(p_inv, "--omega-budget", invariants.DEFAULT_OMEGA_BUDGET)
-    p_inv.add_argument("--out", type=str, default=None)
+    p_inv.option("--out", type=str, default=None)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_seq = sub.add_parser("sequence", help="emit an invariant sequence")
-    p_seq.add_argument("--inv", required=True, help="invariant name (V, EH, ..., PT, LI)")
-    p_seq.add_argument("--order", choices=[o.value for o in sequences.Ordering], default="natural")
-    p_seq.add_argument("--count", type=int, default=50, help=_SIZE_HELP.format("number of entries"))
-    p_seq.add_argument("--format", choices=[f.value for f in sequences.EmitFormat], default="csv")
-    p_seq.add_argument("--out", type=str, default=None)
+    p_seq.option("--inv", required=True, help="invariant name (V, EH, ..., PT, LI)")
+    p_seq.option("--order", choices=[o.value for o in sequences.Ordering], default="natural")
+    p_seq.option("--count", type=int, default=50, help=_SIZE_HELP.format("number of entries"))
+    p_seq.option("--format", choices=[f.value for f in sequences.EmitFormat], default="csv")
+    p_seq.option("--out", type=str, default=None)
     p_seq.set_defaults(func=cmd_sequence)
 
     p_graph = sub.add_parser("graph", help="emit an explicit graph as DOT or JSON")
-    _add_target_flags(p_graph)
-    p_graph.add_argument("--kind", choices=[k.value for k in graphs.GraphKind], default="hasse")
-    p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
+    p_graph.target()
+    p_graph.option("--kind", choices=[k.value for k in graphs.GraphKind], default="hasse")
+    p_graph.option("--format", choices=["dot", "json"], default="dot")
     _add_budget_flag(p_graph, "--node-budget", graphs.DEFAULT_NODE_BUDGET)
     _add_budget_flag(p_graph, "--arc-budget", graphs.DEFAULT_ARC_BUDGET)
-    p_graph.add_argument("--out", type=str, default=None)
+    p_graph.option("--out", type=str, default=None)
     p_graph.set_defaults(func=cmd_graph)
 
     p_cmp = sub.add_parser("compare", help="compare a sequence against a local b-file")
-    p_cmp.add_argument("--inv", required=True)
-    p_cmp.add_argument("--order", choices=[o.value for o in sequences.Ordering], default="natural")
-    p_cmp.add_argument("--count", type=int, default=50, help=_SIZE_HELP.format("number of entries"))
-    p_cmp.add_argument("--bfile", required=True, help="path to the reference b-file")
-    p_cmp.add_argument("--out", type=str, default=None)
+    p_cmp.option("--inv", required=True)
+    p_cmp.option("--order", choices=[o.value for o in sequences.Ordering], default="natural")
+    p_cmp.option("--count", type=int, default=50, help=_SIZE_HELP.format("number of entries"))
+    p_cmp.option("--bfile", required=True, help="path to the reference b-file")
+    p_cmp.option("--out", type=str, default=None)
     # exit 1 is reserved for a value mismatch; every failure to compare is 2
     p_cmp.set_defaults(func=cmd_compare, failure=2)
 
     p_conj = sub.add_parser("conjectures", help="scan a conjecture for counterexamples")
-    p_conj.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
-    p_conj.add_argument(
+    p_conj.option("--id", type=int, choices=[1, 2, 3], required=True)
+    p_conj.option(
         "--max-omega", type=int, default=8,
         help=f"id 1: every signature with 1 <= Omega <= MAX_OMEGA; at most {SIZE_BUDGET}"
         " signatures (the size budget)",
     )
-    p_conj.add_argument(
+    p_conj.option(
         "--max-n", type=int, default=100_000,
         help=_SIZE_HELP.format("id 2: the signatures of n = 1..MAX_N"),
     )
-    p_conj.add_argument(
+    p_conj.option(
         "--colex-count", type=int, default=200,
         help=_SIZE_HELP.format("id 3: the first COLEX_COUNT graded-colex signatures"),
     )
     _add_budget_flag(p_conj, "--node-budget", graphs.DEFAULT_NODE_BUDGET)
-    p_conj.add_argument("--out", type=str, default=None)
+    p_conj.option("--out", type=str, default=None)
     p_conj.set_defaults(func=cmd_conjectures)
 
     return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     """The top-level parser and its command table, built once per process;
-    parsing leaves no state on either.  ``_parse`` hands a request whose
-    first argument is a command name straight to that command's parser, and
-    every other request to the top-level parser."""
+    parsing leaves no state on either.  Each command's parser holds the
+    declarations that ``_parse`` reads a plain request from, so the table of
+    options it reads is built here too, on the first request."""
     return build_parser()
 
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """The namespace, exit and output of ``build_parser()[0].parse_args(argv)``,
-    with the top-level parser's scan of the whole argv left out when
-    ``argv[0]`` is a command name.  That scan can refuse an argument of the
-    form ``-x=y`` as an ambiguous abbreviation of a top-level option, so such
-    a request goes through the top-level parser too."""
+    """The namespace, exit and output of ``build_parser()[0].parse_args(argv)``.
+
+    A plain request, a command name and then ``flag value`` pairs that the
+    command's ``read`` accepts, is read there, without argparse.  Every other
+    request goes to the top-level parser, which gives every usage error and
+    the help and version text."""
     parser, commands = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None
-    if command is None or any(a[:1] == "-" and "=" in a for a in argv):
+    args = None if command is None else command.read(argv[1:])
+    if args is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

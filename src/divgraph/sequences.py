@@ -21,6 +21,7 @@ from divgraph.signatures import (
     PrimeSignature,
     SignatureOrder,
     _least_integer,
+    check_integer,
     check_size,
     enumerate_signatures,
     natural_classes,
@@ -114,6 +115,7 @@ def generate(invariant: str, ordering: Ordering, count: int) -> SequenceTable:
     """
     if not isinstance(ordering, Ordering):
         raise ValueError(f"unknown ordering {ordering!r}")
+    check_integer("count", count)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     key = normalize_invariant(invariant)

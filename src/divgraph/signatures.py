@@ -178,6 +178,7 @@ def partitions_of(k: int) -> list[PrimeSignature]:
     That order is exactly the within-grade order of the canonical signature
     enumeration; partitions_of(0) is [()].
     """
+    check_integer("k", k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return next(itertools.islice(_graded_partitions(), k, None))
@@ -203,6 +204,7 @@ def _graded_partitions() -> Iterator[list[PrimeSignature]]:
 def partition_count(k: int) -> int:
     """Number of partitions of ``k`` (p(0) = 1), counted part size by part
     size without enumerating them."""
+    check_integer("k", k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     counts = [1] + [0] * k  # counts[t]: partitions of t into the parts so far
@@ -210,6 +212,12 @@ def partition_count(k: int) -> int:
         for total in range(part, k + 1):
             counts[total] += counts[total - part]
     return counts[k]
+
+
+def check_integer(name: str, value: int) -> None:
+    """Refuse a count that is not an ``int``, or is a ``bool``, by name."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_size(what: str, size: int) -> None:
@@ -226,6 +234,7 @@ def enumerate_signatures(order: SignatureOrder, count: int) -> list[PrimeSignatu
     the graded colexicographic order additionally groups by length first.
     Each grade is built once, from the earlier ones (see ``_graded_partitions``).
     """
+    check_integer("count", count)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if not isinstance(order, SignatureOrder):
@@ -275,6 +284,7 @@ def spf_sieve(limit: int) -> list[int]:
     1 and the primes, and each is set to its own index.  No int object is
     made per entry, only per prime.
     """
+    check_integer("limit", limit)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     root = math.isqrt(limit)
@@ -315,7 +325,8 @@ def natural_classes(limit: int) -> tuple[list[int], list[PrimeSignature]]:
     prime of n and p^e exactly dividing n, the class of n is the class of
     n/p^e extended by e.  That step is worked out once per (class, e);
     different pairs can reach one signature, so a map from signatures to
-    class numbers keeps each signature in one class.
+    class numbers keeps each signature in one class.  ``spf_sieve`` checks
+    ``limit``.
     """
     spf = spf_sieve(limit)
     classes = [0] * (limit + 1)  # classes[n]; entry 0 is dropped on return

@@ -19,7 +19,8 @@ recursion instead of from earlier partition grades, or row by row through
 string or one list per node and per arc, to check the library's output
 byte for byte.  ``parse_by_top_level_parser`` parses a command line by the
 top-level parser, which hands the arguments after the command name on to
-the command's parser, instead of by the command's parser alone.
+the command's parser, instead of reading a plain request from the
+command's declarations without argparse.
 """
 
 import csv

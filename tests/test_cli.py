@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, and output determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from _reference import parse_by_top_level_parser
 
 import divgraph
@@ -823,6 +824,44 @@ def _parsed(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+_COMMANDS = cli.build_parser()[1]
+_ALL_FLAGS = sorted({flag for command in _COMMANDS.values() for a in command._actions for flag in a.option_strings})
+_odd_values = st.one_of(
+    st.sampled_from(["", " 7 ", "+3", "\u0665", "1_0", "-5", "-", "--", "x=y"]), st.text()
+)
+
+
+def _sometimes(draw):
+    return draw(st.integers(0, 7)) == 0
+
+
+@st.composite
+def _adversarial_argvs(draw):
+    """An ``_argvs`` draw with its flags in any order, repeated, abbreviated,
+    swapped for any command's flag or joined to their values by "=", odd
+    values in place of some of its own, and at times another command or a
+    lone trailing argument."""
+    argv = draw(_argvs)
+    pairs = [argv[i : i + 2] for i in range(1, len(argv), 2)]
+    pairs = draw(st.permutations(pairs + draw(st.lists(st.sampled_from(pairs), max_size=1))))
+    out = [draw(st.sampled_from(sorted(_COMMANDS))) if _sometimes(draw) else argv[0]]
+    for flag, value in pairs:
+        if _sometimes(draw):
+            flag = draw(st.sampled_from(_ALL_FLAGS))
+        if _sometimes(draw):
+            flag = flag[: draw(st.integers(1, len(flag)))]
+        if _sometimes(draw):
+            value = draw(_odd_values)
+        out += [f"{flag}={value}"] if _sometimes(draw) else [flag, value]
+    if _sometimes(draw):
+        out.append(draw(st.one_of(st.sampled_from(_ALL_FLAGS), _odd_values)))
+    return out
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("argparse parsed a plain request")
+
+
 class TestParseRoute:
     """``main`` parses a command line as the top-level parser alone would."""
 
@@ -850,3 +889,46 @@ class TestParseRoute:
     @given(argv=_argvs)
     def test_random_command_line(self, argv):
         assert _parsed(cli._parse, argv) == _parsed(parse_by_top_level_parser, argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_adversarial_argvs())
+    # values that start with "-": argparse reads "--" and "-x" as no value
+    @example(argv=["invariants", "--n", "5", "--out", "--"])
+    @example(argv=["invariants", "--out", "-x", "--n", "5"])
+    @example(argv=["graph", "--sig", "2", "--n", "-5"])
+    def test_adversarial_command_line(self, argv):
+        assert _parsed(cli._parse, argv) == _parsed(parse_by_top_level_parser, argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argvs)
+    @example(argv=["invariants", "--n", "540", "--format", "json"])
+    @example(argv=["graph", "--format", "json", "--kind", "closure", "--sig", "2.1"])
+    @example(argv=["compare", "--bfile", "b", "--inv", "V", "--count", " +0_7 "])
+    @example(argv=["conjectures", "--id", "\u0663", "--out", "", "--max-n", "5"])
+    def test_plain_command_line_skips_argparse(self, argv):
+        """Every draw that the top-level parser takes, with no value that
+        starts with "-", is read without running argparse."""
+        expected = _parsed(parse_by_top_level_parser, argv)
+        if not isinstance(expected[0], dict) or any(v[:1] == "-" for v in argv[2::2]):
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli._parser()[0], "parse_args", _forbidden)
+            mp.setattr(argparse.ArgumentParser, "parse_known_args", _forbidden)
+            assert _parsed(cli._parse, argv) == expected
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_read_keeps_every_declaration(self, name):
+        """``read`` works from each command's own declarations: every option
+        but -h, each a store option that takes one value, the required
+        one-of group and the ``set_defaults`` values."""
+        command = _COMMANDS[name]
+        options = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        assert list(command.options.values()) == options
+        for flag, action in command.options.items():
+            assert action.option_strings == [flag]
+            assert type(action) is argparse._StoreAction and action.nargs is None
+            # argparse converts a str default by the option's type; read does not
+            assert not (isinstance(action.default, str) and action.type is not None), flag
+        groups = [(g.required, tuple(g._group_actions)) for g in command._mutually_exclusive_groups]
+        assert groups == ([(True, command.one_of)] if command.one_of else [])
+        assert command.set_values == command._defaults

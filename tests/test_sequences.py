@@ -126,8 +126,12 @@ class TestInputChecks:
             (lambda: generate("V", Ordering.CANONICAL, 0), "count must be positive, got 0"),
             (lambda: emit(generate("V", Ordering.CANONICAL, 3), "csv"), "unknown format 'csv'"),
             (lambda: generate("V", "natural", 5), "unknown ordering 'natural'"),
+            (lambda: generate("V", Ordering.NATURAL, True), "count must be an integer, got True"),
+            (lambda: generate("V", Ordering.CANONICAL, 2.5), "count must be an integer, got 2.5"),
+            (lambda: generate("V", Ordering.NATURAL, "5"), "count must be an integer, got '5'"),
         ],
-        ids=["generate-count-0", "emit-str-format", "generate-str-ordering"],
+        ids=["generate-count-0", "emit-str-format", "generate-str-ordering", "generate-bool-count",
+             "generate-float-count", "generate-str-count"],
     )
     def test_error_message(self, call, message):
         with pytest.raises(ValueError) as info:

@@ -222,8 +222,28 @@ class TestInputChecks:
             (lambda: factorize("12"), "n must be an integer, got '12'"),
             (lambda: factorize(12.0), "n must be an integer, got 12.0"),
             (lambda: enumerate_signatures("colex", 3), "unknown order 'colex'"),
+            # a bool is an int to Python, but a count of True is no count
+            (lambda: enumerate_signatures(SignatureOrder.CANONICAL, True), "count must be an integer, got True"),
+            (lambda: enumerate_signatures(SignatureOrder.GRADED_COLEX, 2.5), "count must be an integer, got 2.5"),
+            (lambda: partitions_of(True), "k must be an integer, got True"),
+            (lambda: partitions_of(2.5), "k must be an integer, got 2.5"),
+            (lambda: partition_count(True), "k must be an integer, got True"),
+            (lambda: partition_count(2.5), "k must be an integer, got 2.5"),
+            (lambda: spf_sieve(True), "limit must be an integer, got True"),
+            (lambda: spf_sieve(2.5), "limit must be an integer, got 2.5"),
+            (lambda: natural_classes(True), "limit must be an integer, got True"),
+            (lambda: natural_classes(2.5), "limit must be an integer, got 2.5"),
+            (lambda: enumerate_signatures(SignatureOrder.CANONICAL, 0), "count must be positive, got 0"),
+            (lambda: partitions_of(-1), "k must be nonnegative, got -1"),
+            (lambda: partition_count(-1), "k must be nonnegative, got -1"),
+            (lambda: spf_sieve(0), "limit must be >= 1, got 0"),
+            (lambda: natural_classes(0), "limit must be >= 1, got 0"),
         ],
-        ids=["factorize-str", "factorize-float", "enumerate-str-order"],
+        ids=["factorize-str", "factorize-float", "enumerate-str-order", "enumerate-bool-count",
+             "enumerate-float-count", "partitions-bool", "partitions-float", "partition-count-bool",
+             "partition-count-float", "sieve-bool", "sieve-float", "classes-bool", "classes-float",
+             "enumerate-count-0", "partitions-negative", "partition-count-negative", "sieve-0",
+             "classes-0"],
     )
     def test_error_message(self, call, message):
         with pytest.raises(ValueError) as info:
